@@ -53,23 +53,6 @@ from .experiments import all_experiments, get
 from .obs import observe
 
 
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    """The scheduler-kernel escape hatch, shared by every verb."""
-    from .sim import KERNELS
-    parser.add_argument("--kernel", choices=list(KERNELS), default=None,
-                        help="event-scheduler kernel (default: calendar; "
-                             "heap is the pre-calendar reference "
-                             "implementation, bit-identical by the "
-                             "kernel-equivalence battery)")
-
-
-def _apply_kernel_flag(args) -> None:
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        from .sim import set_default_kernel
-        set_default_kernel(kernel)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfstricks",
@@ -116,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(raw counters behind the summarised "
                              "points, e.g. xfaults' retransmit and "
                              "recovery counts) as JSON to FILE")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -194,7 +176,6 @@ def _add_testbed_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nfsheur", choices=["default", "improved"],
                         default="default")
     parser.add_argument("--seed", type=int, default=0)
-    _add_kernel_flag(parser)
 
 
 def _build_bench_parser() -> argparse.ArgumentParser:
@@ -261,7 +242,6 @@ def _main_bench(argv: List[str]) -> int:
     from .bench.runner import collect_metric, run_nfs_once
     from .stats import RunningSummary
     args = _build_bench_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     config = _bench_config(args)
     if args.workload == "namespace":
         from .workloads import (NamespaceTreeSpec, NamespaceWorkload,
@@ -393,7 +373,6 @@ def _main_replay(argv: List[str]) -> int:
                          write_trace_file)
     from .replay.format import TraceFormatError
     args = _build_replay_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if args.capture is None and args.replay is None:
         print("replay: need --capture FILE and/or --replay FILE",
               file=sys.stderr)
@@ -498,7 +477,6 @@ def _build_diagnose_parser() -> argparse.ArgumentParser:
                              "criterion)")
     parser.add_argument("--json", action="store_true",
                         help="print the DiagnosisReport as JSON")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -506,7 +484,6 @@ def _main_diagnose(argv: List[str]) -> int:
     from .diagnose import (DEFAULT_FLOOR, build_inputs, diagnose,
                            load_history)
     args = _build_diagnose_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if not (args.trace or args.metrics or args.against):
         print("diagnose: need at least one of --trace/--metrics/"
               "--against", file=sys.stderr)
@@ -697,7 +674,6 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
                             "failure fingerprint into DIR")
     _add_orchestrator_flags(chaos, jobs_default=2)
     chaos.add_argument("--json", action="store_true")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -708,7 +684,6 @@ def _main_campaign(argv: List[str]) -> int:
                            run_chaos_campaign, write_report)
     from .diagnose import DEFAULT_HISTORY_PATH
     args = _build_campaign_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if args.kind == "bench":
         spec = bench_spec(args.runs, drive=args.drive,
                           partition=args.partition,
@@ -863,7 +838,6 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
     replay.add_argument("bundle", help="path to a chaos bundle JSON")
     replay.add_argument("--json", action="store_true",
                         help="print the full replay outcome as JSON")
-    _add_kernel_flag(parser)
     return parser
 
 
@@ -891,7 +865,6 @@ def _main_chaos(argv: List[str]) -> int:
                         write_bundle)
     from .host.testbed import TestbedConfig
     args = _build_chaos_parser().parse_args(argv)
-    _apply_kernel_flag(args)
 
     if args.mode == "replay":
         try:
@@ -1067,7 +1040,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "campaign":
         return _main_campaign(argv[1:])
     args = build_parser().parse_args(argv)
-    _apply_kernel_flag(args)
     if args.experiment == "list":
         _list_experiments()
         return 0

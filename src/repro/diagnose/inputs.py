@@ -69,7 +69,11 @@ def load_trace_file(path: str) -> List[List[Span]]:
     """Read a ``--trace`` export back into per-run span streams."""
     with open(path) as handle:
         text = handle.read()
-    return split_runs(loads_trace(text))
+    try:
+        spans = loads_trace(text)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+    return split_runs(spans)
 
 
 def load_metrics_file(path: str) -> Tuple[List[dict], dict]:
@@ -77,15 +81,24 @@ def load_metrics_file(path: str) -> Tuple[List[dict], dict]:
 
     Accepts either the session format ``{"snapshots": [...],
     "merged": {...}}`` or a single registry snapshot, for ad-hoc use.
+    A payload of the wrong shape raises ``ValueError`` naming the file
+    and the ill-typed field.
     """
     with open(path) as handle:
         payload = json.load(handle)
-    if "snapshots" in payload:
-        snapshots = payload["snapshots"]
-        merged = payload.get("merged") or merge_snapshots(
-            [snap for snap in snapshots])
-        return snapshots, merged
-    return [payload], merge_snapshots([payload])
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a metrics JSON object, got "
+                         f"{type(payload).__name__}")
+    if "snapshots" not in payload:
+        return [payload], merge_snapshots([payload])
+    snapshots = payload["snapshots"]
+    if not isinstance(snapshots, list) or not all(
+            isinstance(snap, dict) for snap in snapshots):
+        raise ValueError(f"{path}: 'snapshots' must be a list of objects")
+    merged = payload.get("merged") or merge_snapshots(snapshots)
+    if not isinstance(merged, dict):
+        raise ValueError(f"{path}: 'merged' must be an object")
+    return snapshots, merged
 
 
 def load_provenance_file(path: str) -> List[ProvRecord]:

@@ -94,14 +94,30 @@ def loads_trace(text: str) -> List[Span]:
 
     Uses the exact ``t0``/``t1`` seconds carried in ``args``, so
     ``loads_trace(dumps_trace(spans))`` reproduces every span key
-    bit-for-bit.
+    bit-for-bit.  A payload of the wrong shape raises ``ValueError``
+    naming the missing or ill-typed field.
     """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a trace_event JSON object, got "
+                         f"{type(payload).__name__}")
+    events = payload.get("traceEvents")
+    if not isinstance(events, list):
+        raise ValueError("'traceEvents' is missing or not a list")
     spans: List[Span] = []
-    for event in payload["traceEvents"]:
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise ValueError(f"traceEvents[{index}] is not an object")
         if event.get("ph") != "X":
             continue
-        args = dict(event.get("args", {}))
+        args = event.get("args")
+        missing = [f"args.{key}" for key in ("span_id", "t0", "t1")
+                   if not isinstance(args, dict) or key not in args]
+        missing += [key for key in ("name", "cat") if key not in event]
+        if missing:
+            raise ValueError(f"traceEvents[{index}] (ph X) lacks "
+                             f"{', '.join(missing)}")
+        args = dict(args)
         span_id = args.pop("span_id")
         parent_id = args.pop("parent_id", None)
         detached = args.pop("detached", False)

@@ -4,14 +4,12 @@ The kernel provides simulated time, one-shot events, generator-based
 processes, and shared-resource primitives.  All higher layers of the
 reproduction (disks, schedulers, NFS) are built on these pieces.
 
-Two scheduler kernels are available behind the same API: the default
-O(1)-amortized calendar queue and the reference binary heap (see
-:mod:`repro.sim.core` for selection and the bit-identity contract).
+The scheduler is one binary-heap event queue with a FIFO tie-break among
+equal timestamps (see :mod:`repro.sim.core` for the determinism
+contract).
 """
 
-from .calendar import CalendarQueue
-from .core import (KERNELS, Simulator, default_kernel, set_default_kernel,
-                   use_kernel)
+from .core import Simulator
 from .errors import Interrupt, ProcessError, SchedulingError, SimulationError
 from .events import AllOf, AnyOf, Event, EventQueue, Timeout
 from .process import Process
@@ -22,11 +20,6 @@ __all__ = [
     "Simulator",
     "Event",
     "EventQueue",
-    "CalendarQueue",
-    "KERNELS",
-    "default_kernel",
-    "set_default_kernel",
-    "use_kernel",
     "Timeout",
     "AnyOf",
     "AllOf",

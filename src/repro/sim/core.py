@@ -6,84 +6,23 @@ events; the kernel resumes each generator when the event it waited on
 fires.  The kernel is deliberately small — everything domain-specific
 (disks, schedulers, NFS daemons) is layered on top.
 
-Two interchangeable scheduler kernels sit underneath:
-
-``calendar`` (the default)
-    A bucketed calendar queue (:mod:`repro.sim.calendar`) with O(1)
-    amortized enqueue/dequeue, pooled zero-alloc queue records, and a
-    flattened run loop that pops and fires without per-event method
-    dispatch.
-
-``heap``
-    The reference kernel: the original binary-heap
-    :class:`~repro.sim.events.EventQueue` driven by the original
-    ``step()`` loop, retained as the escape hatch and as ground truth
-    for the bit-identity battery (``tests/test_kernel_equivalence.py``).
-
-Both kernels dequeue in exactly ``(time, insertion-order)`` sequence, so
-every layer above — net, nfs, kernel, disk, faults, replay, chaos,
-campaign — produces byte-identical results under either.  Select with
-``Simulator(kernel=...)``, the ``--kernel`` CLI flag, the
-``REPRO_KERNEL`` environment variable, or :func:`set_default_kernel`.
+The scheduler is a binary heap (:class:`~repro.sim.events.EventQueue`)
+of ``(time, insertion-order, event)`` entries: events fire in time
+order, and events that share a timestamp fire in the order they were
+scheduled.  That tie-break makes every layer above — net, nfs, kernel,
+disk, faults, replay, chaos, campaign — a pure function of its inputs,
+which the golden determinism battery
+(``tests/test_kernel_equivalence.py``) pins.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any, Iterable, Optional
 
 from ..obs import NULL_OBS, Observability
-from .calendar import CalendarQueue
 from .errors import SchedulingError, SimulationError
 from .events import AllOf, AnyOf, Event, EventQueue, Timeout
 from .process import Process
-
-KERNELS = ("calendar", "heap")
-
-_default_kernel: Optional[str] = None
-
-
-def _validate_kernel(name: str) -> str:
-    if name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r} (choose from {', '.join(KERNELS)})")
-    return name
-
-
-def default_kernel() -> str:
-    """The kernel used when ``Simulator(kernel=None)``.
-
-    Resolution order: :func:`set_default_kernel`, then the
-    ``REPRO_KERNEL`` environment variable, then ``"calendar"``.
-    """
-    if _default_kernel is not None:
-        return _default_kernel
-    env = os.environ.get("REPRO_KERNEL")
-    if env:
-        return _validate_kernel(env)
-    return "calendar"
-
-
-def set_default_kernel(name: Optional[str]) -> Optional[str]:
-    """Set the process-wide default kernel; returns the previous value.
-
-    ``None`` restores environment/built-in resolution.
-    """
-    global _default_kernel
-    previous = _default_kernel
-    _default_kernel = _validate_kernel(name) if name is not None else None
-    return previous
-
-
-@contextmanager
-def use_kernel(name: str):
-    """Context manager scoping :func:`set_default_kernel`."""
-    previous = set_default_kernel(name)
-    try:
-        yield
-    finally:
-        set_default_kernel(previous)
 
 
 class Simulator:
@@ -106,22 +45,13 @@ class Simulator:
     ``sim.obs``.  The default is the shared all-off null object, and by
     the no-perturbation invariant of :mod:`repro.obs` an instrumented
     run is bit-identical to an uninstrumented one.
-
-    ``kernel`` selects the scheduler implementation (``"calendar"`` or
-    ``"heap"``); ``None`` uses :func:`default_kernel`.
     """
 
-    def __init__(self, obs: Optional[Observability] = None,
-                 kernel: Optional[str] = None):
+    def __init__(self, obs: Optional[Observability] = None):
         self.now: float = 0.0
-        self.kernel = _validate_kernel(kernel if kernel is not None
-                                       else default_kernel())
-        if self.kernel == "heap":
-            self._queue = EventQueue()
-        else:
-            self._queue = CalendarQueue()
-        #: The single scheduling entry point both kernels share: every
-        #: event/timeout/process-completion lands here.
+        self._queue = EventQueue()
+        #: The single scheduling entry point: every event, timeout and
+        #: process bootstrap lands here.
         self._push = self._queue.push
         self._running = False
         self.obs = obs if obs is not None else NULL_OBS
@@ -176,53 +106,17 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         try:
-            if self.kernel == "heap":
-                # Reference loop, verbatim from the pre-calendar kernel.
-                while len(self._queue):
-                    if until is not None and \
-                            self._queue.peek_time() > until:
-                        self.now = until
-                        break
-                    self.step()
-            else:
-                self._run_calendar(until)
+            queue = self._queue
+            while len(queue):
+                if until is not None and queue.peek_time() > until:
+                    self.now = until
+                    break
+                self.step()
         finally:
             self._running = False
         if until is not None and self.now < until:
             self.now = until
         return self.now
-
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """The flattened main loop for the calendar kernel.
-
-        Pops raw queue records and fires them inline — no ``step()``
-        call, no ``len``/``peek`` per event, records recycled into the
-        queue's free list.  Dequeue order is identical to
-        :meth:`step`'s, which the equivalence battery asserts.
-        """
-        queue = self._queue
-        pop_record = queue._pop_record
-        free = queue._free
-        if until is None:
-            while queue._size:
-                record = pop_record()
-                self.now = record[0]
-                fire = record[2]._process
-                record[2] = None
-                free.append(record)
-                fire()
-        else:
-            peek = queue.peek_time
-            while queue._size:
-                if peek() > until:
-                    self.now = until
-                    break
-                record = pop_record()
-                self.now = record[0]
-                fire = record[2]._process
-                record[2] = None
-                free.append(record)
-                fire()
 
     def run_until_complete(self, process: Process,
                            limit: Optional[float] = None) -> Any:

@@ -11,8 +11,7 @@ This module sits on the kernel's hottest path — a replay run processes
 hundreds of events per NFS operation — so the primitives are written
 flat: callback lists materialize only when a subscriber appears, event
 labels are computed lazily, and scheduling goes through the simulator's
-single ``_push`` indirection shared by both the heap and calendar
-kernels (see :mod:`repro.sim.core`).
+single ``_push`` entry point (see :mod:`repro.sim.core`).
 """
 
 from __future__ import annotations
@@ -196,13 +195,13 @@ class AllOf(Event):
 
 
 class EventQueue:
-    """The reference time-ordered queue: a binary heap of tuples.
+    """The simulator's time-ordered queue: a binary heap of tuples.
 
     Ties on timestamp are broken FIFO via a monotonically increasing
-    sequence number, which keeps the simulation deterministic.  This is
-    the pre-calendar implementation, retained verbatim as the
-    ``--kernel heap`` escape hatch and as the independent ground truth
-    the bit-identity battery compares the calendar kernel against.
+    sequence number, which keeps the simulation deterministic.  The
+    heap operations run in C (``heapq``); an interpreted O(1) bucket
+    queue measured slower at every queue depth the testbeds reach
+    (DESIGN.md §12).
     """
 
     __slots__ = ("_heap", "_counter")

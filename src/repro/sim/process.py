@@ -11,8 +11,9 @@ written flat: ``send``/``throw`` are bound once at spawn, the resume
 callback is pre-bound, the bootstrap is a direct queue record instead of
 a throwaway event, and the yielded event is subscribed to inline.  The
 flattening is pure mechanics: the sequence of queue pushes (and
-therefore the deterministic FIFO tie-break order) is exactly the one the
-pre-calendar kernel produced, which the bit-identity battery proves.
+therefore the deterministic FIFO tie-break order) is exactly the one an
+unflattened trampoline produces, which the golden determinism battery
+pins.
 """
 
 from __future__ import annotations

@@ -147,6 +147,25 @@ class TestCliGate:
                      str(tmp_path / "absent.jsonl")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,content,field", [
+        ("--trace", "[]", "got list"),
+        ("--trace", "{}", "'traceEvents'"),
+        ("--trace", '{"traceEvents": [{"ph": "X", "name": "read",'
+                    ' "cat": "nfs"}]}', "args.span_id"),
+        ("--metrics", "[]", "got list"),
+        ("--metrics", '"snapshot"', "got str"),
+    ], ids=["trace-list", "trace-empty-object", "trace-x-without-args",
+            "metrics-list", "metrics-string"])
+    def test_malformed_input_is_one_line_exit_two(self, tmp_path, capsys,
+                                                  flag, content, field):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        assert main(["diagnose", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"diagnose: {path}: "), err
+        assert field in err, err
+
 
 class TestBenchHistoryFlags:
     def test_out_writes_the_printed_record(self, tmp_path, capsys):
