@@ -227,29 +227,23 @@ def run_faulted_once(config: TestbedConfig, nreaders: int,
             name=f"reader:{spec.name}")
 
     base = _run_readers(testbed, spawn, specs)
-    server_stats = testbed.server.stats
+    fold = testbed.counters()
     return FaultRunResult(
         readers=base.readers,
         total_bytes=base.total_bytes,
         metrics=base.metrics,
-        retransmits=sum(c.retransmitted for c in testbed.rpc_clients),
-        tcp_segment_retransmits=sum(
-            getattr(ep, "retransmits", 0)
-            for ep in testbed.transport_endpoints),
-        rpc_timeouts=sum(c.timeouts for c in testbed.rpc_clients),
-        dupreq_hits=sum(s.dupreq_hits for s in testbed.rpc_servers),
-        dupreq_evictions=sum(s.dupreq_evictions
-                             for s in testbed.rpc_servers),
-        duplicate_executions=sum(s.duplicate_executions
-                                 for s in testbed.rpc_servers),
-        verifier_resends=sum(m.stats.verifier_resends
-                             for m in testbed.mounts),
-        commit_retries=sum(m.stats.commit_retries
-                           for m in testbed.mounts),
+        retransmits=fold["rpc.client.retransmits"],
+        tcp_segment_retransmits=fold["net.tcp.segment_retransmits"],
+        rpc_timeouts=fold["rpc.client.timeouts"],
+        dupreq_hits=fold["rpc.server.dupreq_hits"],
+        dupreq_evictions=fold["rpc.server.dupreq_evictions"],
+        duplicate_executions=fold["rpc.server.duplicate_executions"],
+        verifier_resends=fold["nfs.client.verifier_resends"],
+        commit_retries=fold["nfs.client.commit_retries"],
         reader_errors=sum(r.errors for r in base.readers),
         read_attempts=sum(r.read_attempts for r in base.readers),
-        server_crashes=server_stats.crashes,
-        server_dropped=server_stats.dropped_requests)
+        server_crashes=fold["nfs.server.crashes"],
+        server_dropped=fold["nfs.server.dropped_requests"])
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,9 @@ class Orchestrator:
                        lambda: float(sum(
                            1 for w in self._workers.values()
                            if w.process.is_alive())))
-        for name in ("timeouts", "worker_crashes", "cell_errors",
-                     "stragglers", "late_results"):
-            registry.gauge(f"campaign.{name}",
-                           lambda key=name: float(self.counters[key]))
+        registry.gauge_group(lambda: {f"campaign.{name}": value
+                                      for name, value
+                                      in self.counters.items()})
 
     # -- workers -----------------------------------------------------------
 

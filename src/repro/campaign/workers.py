@@ -4,7 +4,9 @@ The orchestrator owns the control flow; a worker is deliberately dumb.
 It blocks on its private task queue, executes one ``(cell, attempt)``
 task at a time through the runner it was born with, and reports each
 outcome on the shared result queue tagged with its worker id.  A
-``None`` task is the poison pill.
+``None`` task is the poison pill.  A worker whose orchestrator has
+died (its parent pid changed: it was re-parented) exits on its own at
+the next idle poll, so a SIGKILLed orchestrator leaves no orphans.
 
 Crash injection for tests and the CI smoke job rides on two
 environment variables: when ``REPRO_CAMPAIGN_KILL_CELL`` names a cell
@@ -18,6 +20,7 @@ file, so the re-dispatched cell then completes normally.
 from __future__ import annotations
 
 import os
+import queue
 import traceback
 
 #: Exit code of an injected worker death (distinguishable from real
@@ -26,6 +29,10 @@ KILL_EXIT = 42
 
 KILL_CELL_ENV = "REPRO_CAMPAIGN_KILL_CELL"
 KILL_FLAG_ENV = "REPRO_CAMPAIGN_KILL_FLAG"
+
+#: Seconds an idle worker waits for a task before checking that its
+#: orchestrator is still alive.
+ORPHAN_POLL_S = 1.0
 
 
 def should_inject_kill(cell: int) -> bool:
@@ -42,9 +49,19 @@ def should_inject_kill(cell: int) -> bool:
 
 
 def worker_main(worker_id: int, runner, task_queue, result_queue) -> None:
-    """Process entry point: loop over tasks until the poison pill."""
+    """Process entry point: loop over tasks until the poison pill, or
+    until the orchestrator (the parent at start) is gone."""
+    orchestrator = os.getppid()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=ORPHAN_POLL_S)
+        except queue.Empty:
+            if os.getppid() != orchestrator:
+                # Nobody will read our results: do not block exit on
+                # flushing them into the pipe.
+                result_queue.cancel_join_thread()
+                return
+            continue
         if task is None:
             return
         cell, attempt = task

@@ -151,21 +151,16 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
     processes = [(p.name, p.finished)
                  for p in workers + meta_workers + verifiers]
 
-    mounts = testbed.mounts
     server = testbed.server
-    duplicate_executions = sum(s.duplicate_executions
-                               for s in testbed.rpc_servers)
+    fold = testbed.counters()
     shared_counters = {
-        "reboots_observed": sum(m.stats.server_reboots_observed
-                                for m in mounts),
-        "server_boot_epoch": server.boot_epoch,
-        "rpc_retransmits": sum(c.retransmitted
-                               for c in testbed.rpc_clients),
-        "rpc_timeouts": sum(c.timeouts for c in testbed.rpc_clients),
-        "dupreq_hits": sum(s.dupreq_hits for s in testbed.rpc_servers),
-        "dupreq_evictions": sum(s.dupreq_evictions
-                                for s in testbed.rpc_servers),
-        "duplicate_executions": duplicate_executions,
+        "reboots_observed": fold["nfs.client.server_reboots_observed"],
+        "server_boot_epoch": fold["nfs.server.boot_epoch"],
+        "rpc_retransmits": fold["rpc.client.retransmits"],
+        "rpc_timeouts": fold["rpc.client.timeouts"],
+        "dupreq_hits": fold["rpc.server.dupreq_hits"],
+        "dupreq_evictions": fold["rpc.server.dupreq_evictions"],
+        "duplicate_executions": fold["rpc.server.duplicate_executions"],
     }
 
     oracles: Tuple[OracleResult, ...] = ()
@@ -181,19 +176,11 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
             journal_durable=dict(journal.durable),
             final_reads=dict(final_reads),
             ryw_violations=list(journal.ryw_violations),
-            duplicate_executions=duplicate_executions)
+            duplicate_executions=shared_counters["duplicate_executions"])
         oracles += evaluate_oracles(inputs)
-        counters.update({
-            "writes": sum(m.stats.writes for m in mounts),
-            "stable_writes": sum(m.stats.stable_writes
-                                 for m in mounts),
-            "commits": sum(m.stats.commits for m in mounts),
-            "rpc_writes": sum(m.stats.rpc_writes for m in mounts),
-            "verifier_resends": sum(m.stats.verifier_resends
-                                    for m in mounts),
-            "commit_retries": sum(m.stats.commit_retries
-                                  for m in mounts),
-        })
+        counters.update({name: fold[f"nfs.client.{name}"] for name in (
+            "writes", "stable_writes", "commits", "rpc_writes",
+            "verifier_resends", "commit_retries")})
         counters.update(shared_counters)
         payload["journal"] = {f"{name}:{block}": token
                               for (name, block), token
@@ -213,23 +200,16 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
             renames=list(meta_journal.renames),
             recovery_reports=recovery,
             cross_boot_reexecutions=(
-                server.stats.cross_boot_meta_reexecutions))
+                fold["nfs.server.cross_boot_meta_reexecutions"]))
         meta_oracles = evaluate_metadata_oracles(meta_inputs)
         # A mixed run shares one liveness verdict (all processes).
         oracles += meta_oracles[1:] if oracles else meta_oracles
-        counters.update({
-            "creates": sum(m.stats.creates for m in mounts),
-            "mkdirs": sum(m.stats.mkdirs for m in mounts),
-            "removes": sum(m.stats.removes for m in mounts),
-            "renames": sum(m.stats.renames for m in mounts),
-            "meta_intents": server.stats.meta_intents,
-            "meta_commits": server.stats.meta_commits,
-            "meta_replays": server.stats.meta_replays,
-            "meta_undone": server.stats.meta_undone,
-            "cross_boot_meta_reexecutions": (
-                server.stats.cross_boot_meta_reexecutions),
-            "recovery_fscks": len(recovery),
-        })
+        counters.update({name: fold[f"nfs.client.{name}"] for name in (
+            "creates", "mkdirs", "removes", "renames")})
+        counters.update({name: fold[f"nfs.server.{name}"] for name in (
+            "meta_intents", "meta_commits", "meta_replays", "meta_undone",
+            "cross_boot_meta_reexecutions")})
+        counters["recovery_fscks"] = len(recovery)
         counters.update(shared_counters)
         payload["meta_expected"] = dict(
             sorted(meta_journal.expected.items()))

@@ -540,6 +540,49 @@ def _diagnose_rootcause(inputs, args) -> int:
     return 0
 
 
+def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
+    """The schedule and testbed knobs shared by `campaign chaos` and
+    `chaos fuzz` (each adds its own --budget and --jobs defaults)."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign master seed (default: 0)")
+    parser.add_argument("--transport", choices=["udp", "tcp"],
+                        default="udp")
+    parser.add_argument("--heuristic", default="default",
+                        help="server read-ahead heuristic "
+                             "(default/slowdown/always/cursor)")
+    parser.add_argument("--nfsheur", choices=["default", "improved"],
+                        default="default")
+    parser.add_argument("--clients", type=int, default=2,
+                        help="client machines (default: 2)")
+    parser.add_argument("--horizon", type=float, default=20.0,
+                        help="schedule horizon in simulated seconds")
+    parser.add_argument("--max-events", type=int, default=4,
+                        help="max fault events per schedule (default: 4)")
+    parser.add_argument("--no-recovery", action="store_true",
+                        help="disable the client's write-verifier "
+                             "recovery (bug-reintroduction mode: the "
+                             "no-lost-acked-data oracle should fail)")
+    parser.add_argument("--workload",
+                        choices=["write", "metadata", "mixed"],
+                        default="write",
+                        help="campaign kind: block writes (default), "
+                             "namespace mutations "
+                             "(CREATE/MKDIR/REMOVE/RENAME), or both "
+                             "at once")
+    parser.add_argument("--ack-before-intent", action="store_true",
+                        help="acknowledge metadata ops before forcing "
+                             "the intent log (bug-reintroduction mode: "
+                             "the no-lost-acked-metadata oracle should "
+                             "fail)")
+    parser.add_argument("--shrink-runs", type=int, default=48,
+                        help="run budget per failure for the shrinker")
+    parser.add_argument("--bundle-dir", metavar="DIR", default=None,
+                        help="shrink each distinct failure and write "
+                             "its repro bundle into DIR")
+    parser.add_argument("--json", action="store_true",
+                        help="print a machine-readable campaign record")
+
+
 def _add_orchestrator_flags(parser: argparse.ArgumentParser,
                             jobs_default: int = 1) -> None:
     """The sharding/robustness knobs shared by `campaign` and
@@ -652,28 +695,8 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
                       "distinct failure")
     chaos.add_argument("--budget", type=int, default=1000,
                        help="schedules = cells (default: 1000)")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--transport", choices=["udp", "tcp"],
-                       default="udp")
-    chaos.add_argument("--heuristic", default="default")
-    chaos.add_argument("--nfsheur", choices=["default", "improved"],
-                       default="default")
-    chaos.add_argument("--clients", type=int, default=2)
-    chaos.add_argument("--horizon", type=float, default=20.0)
-    chaos.add_argument("--max-events", type=int, default=4)
-    chaos.add_argument("--no-recovery", action="store_true")
-    chaos.add_argument("--workload",
-                       choices=["write", "metadata", "mixed"],
-                       default="write",
-                       help="campaign kind: block writes (default), "
-                            "namespace mutations, or both at once")
-    chaos.add_argument("--ack-before-intent", action="store_true")
-    chaos.add_argument("--shrink-runs", type=int, default=48)
-    chaos.add_argument("--bundle-dir", metavar="DIR", default=None,
-                       help="shrink + bundle one repro per distinct "
-                            "failure fingerprint into DIR")
+    _add_chaos_flags(chaos)
     _add_orchestrator_flags(chaos, jobs_default=2)
-    chaos.add_argument("--json", action="store_true")
     return parser
 
 
@@ -794,44 +817,7 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
         "fuzz", help="run a fixed-seed campaign of fuzzed schedules")
     fuzz.add_argument("--budget", type=int, default=30,
                       help="schedules to run (default: 30)")
-    fuzz.add_argument("--seed", type=int, default=0,
-                      help="campaign master seed (default: 0)")
-    fuzz.add_argument("--transport", choices=["udp", "tcp"],
-                      default="udp")
-    fuzz.add_argument("--heuristic", default="default",
-                      help="server read-ahead heuristic "
-                           "(default/slowdown/always/cursor)")
-    fuzz.add_argument("--nfsheur", choices=["default", "improved"],
-                      default="default")
-    fuzz.add_argument("--clients", type=int, default=2,
-                      help="client machines (default: 2)")
-    fuzz.add_argument("--horizon", type=float, default=20.0,
-                      help="schedule horizon in simulated seconds")
-    fuzz.add_argument("--max-events", type=int, default=4,
-                      help="max fault events per schedule (default: 4)")
-    fuzz.add_argument("--no-recovery", action="store_true",
-                      help="disable the client's write-verifier "
-                           "recovery (bug-reintroduction mode: the "
-                           "no-lost-acked-data oracle should fail)")
-    fuzz.add_argument("--workload",
-                      choices=["write", "metadata", "mixed"],
-                      default="write",
-                      help="campaign kind: block writes (default), "
-                           "namespace mutations "
-                           "(CREATE/MKDIR/REMOVE/RENAME), or both "
-                           "at once")
-    fuzz.add_argument("--ack-before-intent", action="store_true",
-                      help="acknowledge metadata ops before forcing "
-                           "the intent log (bug-reintroduction mode: "
-                           "the no-lost-acked-metadata oracle should "
-                           "fail)")
-    fuzz.add_argument("--shrink-runs", type=int, default=48,
-                      help="run budget per failure for the shrinker")
-    fuzz.add_argument("--bundle-dir", metavar="DIR", default=None,
-                      help="write a shrunk repro bundle per failure "
-                           "into DIR")
-    fuzz.add_argument("--json", action="store_true",
-                      help="print a machine-readable campaign record")
+    _add_chaos_flags(fuzz)
     _add_orchestrator_flags(fuzz)
     replay = sub.add_parser(
         "replay", help="re-execute a repro bundle deterministically")

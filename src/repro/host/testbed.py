@@ -18,16 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
-from ..disk import (DiskDrive, DriveSpec, IBM_DDYS_T36950N, Partition,
-                    WDC_WD200BB, make_partitions)
+from ..disk import (DiskDrive, DriveSpec, DriveStats, IBM_DDYS_T36950N,
+                    Partition, WDC_WD200BB, make_partitions)
 from ..faults import FaultPlan, FaultSpec
 from ..ffs import FfsParams, FileSystem, SequentialAllocator
-from ..kernel import BufferCache, DiskIoScheduler
+from ..kernel import BufferCache, CacheStats, DiskIoScheduler
 from ..net import (GIGABIT, Link, RpcClient, RpcServer, SERVER_PCI_DMA,
                    TcpConnection, UdpEndpoint)
 from ..nfs import (DEFAULT_NFSHEUR, IMPROVED_NFSHEUR, NfsHeurParams,
-                   NfsMount, NfsMountConfig, NfsServer, NfsServerConfig)
+                   NfsHeurStats, NfsMount, NfsMountConfig, NfsMountStats,
+                   NfsServer, NfsServerConfig, NfsServerStats)
 from ..obs import Observability
+from ..obs.metrics import fold_counters
 from ..obs.session import active_session
 from ..readahead import Heuristic, make_heuristic
 from ..sim import RandomStreams, RateLimiter, Simulator
@@ -206,6 +208,17 @@ class LocalTestbed:
         self.fs = FileSystem(self.sim, self.cache, allocator)
         self._register_gauges()
 
+    def counters(self) -> Dict[str, float]:
+        """Every counter the stack keeps, as ``<layer>.<field>`` summed
+        across mounts and endpoints: the one source for ``--metrics``
+        and for every result's counts."""
+        return {
+            **fold_counters("kernel.cache.", CacheStats, [self.cache.stats]),
+            **fold_counters("disk.", DriveStats, [self.drive.stats],
+                            rename={"busy_time": "busy_s"}),
+            "host.server.cpu_s": self.machine.cpu_time_consumed,
+        }
+
     def _register_gauges(self) -> None:
         """Expose the stack's state as pull-style gauges.
 
@@ -217,6 +230,7 @@ class LocalTestbed:
         registry = self.obs.registry
         if not registry.enabled:
             return
+        registry.gauge_group(self.counters)
         sim = self.sim
         iosched, drive, cache = self.iosched, self.drive, self.cache
         registry.gauge("kernel.bufq.depth", lambda: float(iosched.queued))
@@ -228,7 +242,6 @@ class LocalTestbed:
                        lambda: drive.stats.cache_hit_fraction)
         registry.gauge("disk.reorder_fraction",
                        lambda: drive.stats.reorder_fraction)
-        registry.gauge("disk.busy_s", lambda: drive.stats.busy_time)
         # Static configuration facts the trap-diagnosis detectors read:
         # whether the drive reorders at all, and which partition the
         # benchmark file system sits on (the ZCAV zone question).
@@ -238,8 +251,6 @@ class LocalTestbed:
                        lambda: float(drive.queue_limit))
         registry.gauge("disk.partition_index",
                        lambda: float(self.config.partition))
-        registry.gauge("host.server.cpu_s",
-                       lambda: self.machine.cpu_time_consumed)
         # Per-zone throughput: the ZCAV breakdown of §5.1, computed from
         # the always-on byte counters the drive keeps.
         for index in range(len(drive.geometry.zones)):
@@ -357,15 +368,31 @@ class NfsTestbed(LocalTestbed):
         self.mount = self.mounts[0]
         self._register_nfs_gauges()
 
+    def counters(self) -> Dict[str, float]:
+        server, endpoints = self.server, self.transport_endpoints
+        return {
+            **super().counters(),
+            **fold_counters("nfs.server.", NfsServerStats, [server.stats]),
+            **fold_counters("nfs.server.nfsheur_", NfsHeurStats,
+                            [server.nfsheur.stats]),
+            **fold_counters("nfs.client.", NfsMountStats,
+                            [mount.stats for mount in self.mounts]),
+            **fold_counters("rpc.client.", RpcClient, self.rpc_clients,
+                            rename={"retransmitted": "retransmits"}),
+            **fold_counters("rpc.server.", RpcServer, self.rpc_servers),
+            **fold_counters("net.udp.", UdpEndpoint, endpoints),
+            **fold_counters("net.tcp.", TcpConnection, endpoints,
+                            rename={"retransmits": "segment_retransmits"}),
+            "nfs.server.boot_epoch": server.boot_epoch,
+        }
+
     def _register_nfs_gauges(self) -> None:
-        """NFS-path gauges: daemon pools plus the fault counters that
-        :mod:`repro.faults` and the transports already keep."""
+        """NFS-path gauges beyond the counter fold: daemon pool depths,
+        derived rates, nfsheur table shape, and mount settings."""
         registry = self.obs.registry
         if not registry.enabled:
             return
-        server = self.server
-        mounts, rpc_clients = self.mounts, self.rpc_clients
-        rpc_servers, endpoints = self.rpc_servers, self.transport_endpoints
+        server, mounts, config = self.server, self.mounts, self.config
         registry.gauge("nfs.server.nfsd_busy",
                        lambda: float(server.nfsds.in_use))
         registry.gauge("nfs.server.nfsd_queued",
@@ -375,12 +402,8 @@ class NfsTestbed(LocalTestbed):
         # nfsheur table health (§6.3): the eviction-thrash detector
         # reads these to spot hit-rate collapse against table size.
         heur = server.nfsheur
-        registry.gauge("nfs.server.nfsheur_lookups",
-                       lambda: float(heur.stats.lookups))
         registry.gauge("nfs.server.nfsheur_hit_rate",
                        lambda: heur.stats.hit_rate)
-        registry.gauge("nfs.server.nfsheur_ejections",
-                       lambda: float(heur.stats.ejections))
         registry.gauge("nfs.server.nfsheur_table_size",
                        lambda: float(heur.params.table_size))
         registry.gauge("nfs.server.nfsheur_occupancy",
@@ -388,50 +411,6 @@ class NfsTestbed(LocalTestbed):
         registry.gauge(
             "nfs.client.nfsiod_busy",
             lambda: float(sum(m.nfsiods.in_use for m in mounts)))
-        registry.gauge(
-            "rpc.client.retransmits",
-            lambda: float(sum(c.retransmitted for c in rpc_clients)))
-        registry.gauge(
-            "rpc.client.timeouts",
-            lambda: float(sum(c.timeouts for c in rpc_clients)))
-        registry.gauge(
-            "rpc.server.dupreq_hits",
-            lambda: float(sum(s.dupreq_hits for s in rpc_servers)))
-        registry.gauge(
-            "rpc.server.dupreq_evictions",
-            lambda: float(sum(s.dupreq_evictions for s in rpc_servers)))
-        registry.gauge(
-            "nfs.server.boot_epoch",
-            lambda: float(server.boot_epoch))
-        registry.gauge(
-            "nfs.client.verifier_resends",
-            lambda: float(sum(m.stats.verifier_resends for m in mounts)))
-        registry.gauge(
-            "net.udp.datagrams_lost",
-            lambda: float(sum(getattr(ep, "datagrams_lost", 0)
-                              for ep in endpoints)))
-        registry.gauge(
-            "net.tcp.segment_retransmits",
-            lambda: float(sum(getattr(ep, "retransmits", 0)
-                              for ep in endpoints)))
-        # Namespace path: the metadata-trap detectors' evidence base.
-        config = self.config
-        for stat_name in ("path_walks", "path_components", "lookup_rpcs",
-                          "lookup_cache_hits", "attr_hits", "attr_misses",
-                          "attr_checks", "stale_attr_hits", "cto_getattrs",
-                          "readdir_listings", "readdir_rpcs",
-                          "readdir_entries", "readdir_restarts"):
-            registry.gauge(
-                f"nfs.client.{stat_name}",
-                lambda s=stat_name: float(sum(
-                    getattr(m.stats, s) for m in mounts)))
-        for stat_name in ("lookups", "lookup_misses", "readdirs",
-                          "readdir_entries", "creates", "mkdirs",
-                          "removes", "renames", "setattrs",
-                          "stale_handles", "bad_cookies"):
-            registry.gauge(
-                f"nfs.server.{stat_name}",
-                lambda s=stat_name: float(getattr(server.stats, s)))
         # Static mount configuration the detectors cite as settings.
         registry.gauge("nfs.mount.acregmax", lambda: config.acregmax)
         registry.gauge("nfs.mount.acdirmax", lambda: config.acdirmax)

@@ -89,6 +89,9 @@ class RpcClient:
     forever — hard-mount semantics.
     """
 
+    #: Counters, for :func:`repro.obs.metrics.fold_counters`.
+    COUNTERS = ("calls", "retransmitted", "timeouts")
+
     def __init__(self, sim: Simulator, out_transport: Transport,
                  in_transport: Transport,
                  retransmit_timeout: Optional[float] = None,
@@ -294,6 +297,11 @@ class RpcServer:
     additionally counts handler executions per (client, xid) so
     experiments can assert zero duplicate executions.
     """
+
+    #: Counters, for :func:`repro.obs.metrics.fold_counters`.
+    COUNTERS = ("requests", "executed", "dropped", "dupreq_hits",
+                "dupreq_in_progress_drops", "dupreq_evictions",
+                "duplicate_executions")
 
     def __init__(self, sim: Simulator, in_transport: Transport,
                  out_transport: Transport, name: str = "rpc-server",

@@ -40,6 +40,8 @@ class TcpConnection:
     streams in this model, as each direction has its own link).
     """
 
+    #: Counters, for :func:`repro.obs.metrics.fold_counters`.
+    COUNTERS = ("messages_sent", "retransmits")
     #: Per-message protocol processing cost on the sending host (TCP is
     #: the heavier transport; compare UdpEndpoint.SEND_OVERHEAD).
     SEND_OVERHEAD = 0.00012

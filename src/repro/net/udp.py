@@ -37,6 +37,8 @@ class UdpEndpoint:
     datagram (§5.4).
     """
 
+    #: Counters, for :func:`repro.obs.metrics.fold_counters`.
+    COUNTERS = ("datagrams_sent", "datagrams_lost", "datagrams_duplicated")
     #: Per-datagram protocol processing cost on the sending host.
     SEND_OVERHEAD = 0.00001
 

@@ -20,13 +20,15 @@ Two design rules keep the registry safe to wire into every layer:
 
 Gauges are *pull*-style: they wrap a callable that is evaluated only
 when a snapshot is taken, so sampling queue depths costs nothing during
-the simulation itself.
+the simulation itself; a *gauge group* does the same for a whole
+``{name: value}`` family, such as a testbed's :func:`fold_counters`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional
+from dataclasses import fields
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: Histogram bucket upper bounds in seconds: 1 µs, 2 µs, 4 µs, ... ~67 s,
 #: plus an implicit overflow bucket.  Log-spaced, like the tick-based
@@ -136,6 +138,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
+        self._groups: List[Callable[[], Dict[str, float]]] = []
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -152,6 +155,11 @@ class MetricsRegistry:
             instrument._fn = fn
         return instrument
 
+    def gauge_group(self, fn: Callable[[], Dict[str, float]]) -> None:
+        """Report every key of ``fn()`` as a gauge at snapshot time
+        (names must not collide with individually registered gauges)."""
+        self._groups.append(fn)
+
     def histogram(self, name: str) -> LatencyHistogram:
         instrument = self._histograms.get(name)
         if instrument is None:
@@ -160,11 +168,14 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Everything, as a deterministic (sorted-key) nested dict."""
+        gauges = {name: gauge.read() for name, gauge in self._gauges.items()}
+        for fn in self._groups:
+            gauges.update((name, float(value))
+                          for name, value in fn().items())
         return {
             "counters": {name: self._counters[name].value
                          for name in sorted(self._counters)},
-            "gauges": {name: self._gauges[name].read()
-                       for name in sorted(self._gauges)},
+            "gauges": dict(sorted(gauges.items())),
             "histograms": {name: self._histograms[name].snapshot()
                            for name in sorted(self._histograms)},
         }
@@ -173,6 +184,22 @@ class MetricsRegistry:
         """A human-readable metrics block (for the CLI)."""
         snap = self.snapshot()
         return render_snapshot(snap)
+
+
+def fold_counters(prefix: str, cls: type, objects: Sequence,
+                  rename: Optional[Dict[str, str]] = None
+                  ) -> Dict[str, float]:
+    """``{prefix + name: sum over the cls instances in objects}`` for
+    every counter of ``cls``: a ``*Stats`` dataclass's int/float fields,
+    or the attribute names a class lists in ``COUNTERS``.  Sums keep ints
+    as ints (canonical JSON stays stable); ``rename`` maps an attribute
+    to another name."""
+    names = getattr(cls, "COUNTERS", None) or [
+        f.name for f in fields(cls) if type(f.default) in (int, float)]
+    rename = rename or {}
+    return {prefix + rename.get(name, name):
+            sum(getattr(obj, name) for obj in objects
+                if isinstance(obj, cls)) for name in names}
 
 
 def render_snapshot(snap: dict) -> str:
@@ -287,6 +314,9 @@ class NullMetricsRegistry:
 
     def gauge(self, name: str, fn=None) -> _NullGauge:
         return self._gauge
+
+    def gauge_group(self, fn) -> None:
+        pass
 
     def histogram(self, name: str) -> _NullHistogram:
         return self._histogram

@@ -261,11 +261,11 @@ def run_namespace_once(config: TestbedConfig,
             raise RuntimeError(
                 f"namespace driver {process.name} never finished")
     result.elapsed = testbed.sim.now
-    for name in _MOUNT_STATS:
-        result.mount_stats[name] = sum(
-            getattr(mount.stats, name) for mount in testbed.mounts)
-    for name in _SERVER_STATS:
-        result.server_stats[name] = getattr(testbed.server.stats, name)
+    fold = testbed.counters()
+    result.mount_stats = {name: fold[f"nfs.client.{name}"]
+                          for name in _MOUNT_STATS}
+    result.server_stats = {name: fold[f"nfs.server.{name}"]
+                           for name in _SERVER_STATS}
     capture_file = getattr(testbed, "capture_trace_file", None)
     if capture_file is not None:
         result.trace = capture_file()

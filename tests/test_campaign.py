@@ -320,6 +320,17 @@ class TestWorker:
         assert results.get_nowait() == ("ok", 7, 5, 2, {"value": 25},
                                         None)
 
+    def test_worker_main_exits_once_orphaned(self, monkeypatch):
+        import multiprocessing
+        import repro.campaign.workers as workers
+        monkeypatch.setattr(workers, "ORPHAN_POLL_S", 0.01)
+        ctx = multiprocessing.get_context("fork")
+        tasks, results = ctx.Queue(), ctx.Queue()
+        # Re-parented between the worker's start and its first poll.
+        parents = iter([1, 2])
+        monkeypatch.setattr(workers.os, "getppid", lambda: next(parents))
+        worker_main(0, square_cell, tasks, results)
+
     def test_worker_main_reports_errors_with_traceback(self):
         import queue
         tasks, results = queue.Queue(), queue.Queue()
@@ -794,22 +805,42 @@ class TestOrchestratorCrashRecovery:
         assert done.returncode in (0, 1), done.stderr
 
         journal = str(tmp_path / "j.jsonl")
+        # Its own session, so the victim's pid is the process group of
+        # the orchestrator and every worker it forks.
         victim = subprocess.Popen(
             self._args(journal, str(tmp_path / "unused")), env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        deadline = time.monotonic() + 240
-        while time.monotonic() < deadline:
-            if _count_results(journal) >= 2:
-                break
-            if victim.poll() is not None:
-                pytest.fail("campaign finished before it could be "
-                            "killed; raise BUDGET")
-            time.sleep(0.05)
-        else:
-            victim.kill()
-            pytest.fail("journal never accumulated results")
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.wait(timeout=30)
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        pgid = victim.pid
+        try:
+            deadline = time.monotonic() + 240
+            while time.monotonic() < deadline:
+                if _count_results(journal) >= 2:
+                    break
+                if victim.poll() is not None:
+                    pytest.fail("campaign finished before it could be "
+                                "killed; raise BUDGET")
+                time.sleep(0.05)
+            else:
+                pytest.fail("journal never accumulated results")
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=30)
+            # Orphaned workers must notice and exit on their own.
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                if time.monotonic() > deadline:
+                    pytest.fail("orphaned campaign workers outlived "
+                                "their orchestrator by 30 s")
+                time.sleep(0.1)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
         resumed_report = str(tmp_path / "resumed")
         resumed = subprocess.run(

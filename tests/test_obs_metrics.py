@@ -94,6 +94,43 @@ class TestMetricsRegistry:
         assert snap["gauges"]["depth"] == 3.0
         assert snap["histograms"]["lat"]["count"] == 1
 
+    def test_gauge_group_keys_become_float_gauges_at_snapshot(self):
+        registry = MetricsRegistry()
+        state = {"z.count": 1, "a.count": 2}
+        registry.gauge("m.depth", lambda: 4.0)
+        registry.gauge_group(lambda: dict(state))
+        state["z.count"] = 7            # read lazily, at snapshot time
+        gauges = registry.snapshot()["gauges"]
+        assert gauges == {"a.count": 2.0, "m.depth": 4.0, "z.count": 7.0}
+        assert list(gauges) == sorted(gauges)
+        assert all(type(value) is float for value in gauges.values())
+
+    def test_fold_counters_reflects_stats_and_declared_counters(self):
+        from dataclasses import dataclass, field
+
+        from repro.obs.metrics import fold_counters
+
+        @dataclass
+        class ToyStats:
+            hits: int = 0
+            busy: float = 0.0
+            by_zone: dict = field(default_factory=dict)
+
+        class Endpoint:
+            COUNTERS = ("sent",)
+
+            def __init__(self, sent):
+                self.sent = sent
+
+        stats = [ToyStats(hits=2, busy=0.5), ToyStats(hits=3, busy=1.0)]
+        assert fold_counters("t.", ToyStats, stats,
+                             rename={"busy": "busy_s"}) == \
+            {"t.hits": 5, "t.busy_s": 1.5}
+        # Only instances of the class count; none at all sums to 0.
+        mixed = [Endpoint(4), stats[0], Endpoint(6)]
+        assert fold_counters("e.", Endpoint, mixed) == {"e.sent": 10}
+        assert fold_counters("e.", Endpoint, []) == {"e.sent": 0}
+
     def test_render_mentions_each_section(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
@@ -151,6 +188,8 @@ class TestNullRegistry:
         assert hist.count == 0
         gauge = NULL_REGISTRY.gauge("x", lambda: 9.0)
         assert gauge.read() == 0.0
+        NULL_REGISTRY.gauge_group(lambda: {"y": 1.0})
+        assert NULL_REGISTRY.snapshot() == {}
 
     def test_empty_snapshot(self):
         assert NULL_REGISTRY.snapshot() == {}
