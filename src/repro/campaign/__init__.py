@@ -15,9 +15,7 @@ See DESIGN.md §11.
 from .cells import (CampaignSpec, SPEC_VERSION, run_bench_cell,
                     run_chaos_cell, run_spec_cell)
 from .drivers import (CampaignIncomplete, bench_spec, chaos_spec,
-                      collect_metric_sharded,
-                      collect_throughputs_sharded, fold_bench,
-                      fold_chaos, run_bench_campaign,
+                      fold_bench, fold_chaos, run_bench_campaign,
                       run_chaos_campaign, run_spec_campaign,
                       shrink_and_bundle)
 from .journal import (CampaignJournal, JournalError, LoadedJournal,
@@ -31,7 +29,6 @@ __all__ = [
     "CampaignOutcome", "CampaignSpec", "CellOutcome", "JournalError",
     "LoadedJournal", "Orchestrator", "SPEC_VERSION",
     "atomic_write_text", "bench_spec", "cells_csv", "chaos_spec",
-    "collect_metric_sharded", "collect_throughputs_sharded",
     "fold_bench", "fold_chaos",
     "fold_json", "fold_records", "report_html", "run_bench_campaign",
     "run_bench_cell", "run_chaos_campaign", "run_chaos_cell",

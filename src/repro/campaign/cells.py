@@ -1,13 +1,12 @@
 """Campaign specs and cell runners: the unit of sharded work.
 
 A campaign is ``cells`` executions of a pure function of
-``(spec, index)`` — the same contract the serial paths already honour
-(`bench` repeats are pure in the per-run seed, `chaos` schedules are
-pure in the fuzzer seed and index).  Keeping the spec as plain JSON
-data means a cell can be re-dispatched to any worker, re-run after a
-crash, or re-run days later under ``--resume``, and must produce the
-same result dict — which is what makes the final fold byte-identical
-however the campaign was interrupted.
+``(spec, index)``: `bench` repeats are pure in the per-run seed,
+`chaos` schedules are pure in the fuzzer seed and index.  Keeping the
+spec as plain JSON data means a cell can be re-dispatched to any
+worker, re-run after a crash, or re-run days later under ``--resume``,
+and must produce the same result dict — which is what makes the final
+fold byte-identical however the campaign was interrupted.
 
 Two cell kinds ship:
 
@@ -72,13 +71,13 @@ def _testbed_config(params: dict, index: int):
     from ..host.testbed import TestbedConfig
     kwargs = {key: params[key] for key in _TESTBED_KEYS if key in params}
     base_seed = kwargs.pop("seed", 0)
-    # The serial paths space per-run seeds 1000 apart; cells match them
-    # exactly so a sharded fold is byte-identical to a serial one.
+    # Per-run seeds are spaced 1000 apart, as in bench.collect_metric,
+    # so a campaign repeat equals the same in-process repeat.
     return TestbedConfig(seed=base_seed + 1000 * index, **kwargs)
 
 
 def run_bench_cell(spec: CampaignSpec, index: int) -> dict:
-    """One seeded benchmark repeat; mirrors the serial `bench` loop.
+    """One seeded benchmark repeat of the `bench` verb.
 
     ``params["workload"] == "namespace"`` routes the cell to the
     metadata workload family (:mod:`repro.workloads.namespace`); the
@@ -107,7 +106,12 @@ def run_bench_cell(spec: CampaignSpec, index: int) -> dict:
 
 
 def run_chaos_cell(spec: CampaignSpec, index: int) -> dict:
-    """One fuzzed schedule judged by the oracles; mirrors run_campaign."""
+    """Schedule ``index`` of the spec's fuzzer, judged by the oracles.
+
+    The testbed runs on seed ``seed + 1000*index``, so non-fault
+    randomness (CPU jitter, drive cache) varies across cells while the
+    schedule stays pinned to ``(campaign seed, index)``.
+    """
     from ..chaos import (ChaosWorkload, ScheduleFuzzer, run_chaos,
                          workload_from_jsonable)
     params = spec.params

@@ -1,19 +1,21 @@
 """Campaign drivers: bench and chaos campaigns end to end.
 
-These functions connect the generic orchestrator to the two verb-level
-folds the repository already speaks:
+These functions connect the generic orchestrator to the two verbs
+that fan work out, and are the only path either verb takes:
 
 * :func:`run_bench_campaign` — shards seeded benchmark repeats and
-  folds them into the exact record ``bench --jobs 1`` produces
-  (byte-identical throughput list, mean, and std), then optionally
-  streams the record into the PR-4 bench history store;
-* :func:`run_chaos_campaign` — shards fuzzed schedules, dedupes
-  failures by their SHA-256 run fingerprint (a 100k-schedule campaign
-  typically rediscovers the same bug thousands of times), and shrinks
-  + bundles one representative per distinct fingerprint.
+  folds them into the ``bench`` record (throughput list, mean, and
+  std; byte-identical for any worker count);
+* :func:`run_chaos_campaign` — shards the fuzzed schedules of
+  ``chaos fuzz``, dedupes failures by their SHA-256 run fingerprint (a
+  100k-schedule campaign typically rediscovers the same bug thousands
+  of times), and shrinks + bundles one representative per distinct
+  fingerprint.
 
 Both return ``(record, outcome)``: ``record`` is the deterministic
-fold, ``outcome`` carries the coverage accounting.
+fold, ``outcome`` carries the coverage accounting.  Without a journal
+path a campaign runs under an ephemeral journal that is deleted once
+the campaign returns.
 """
 
 from __future__ import annotations
@@ -48,12 +50,23 @@ def _spec_header(spec: CampaignSpec) -> dict:
             "fingerprint": spec.fingerprint()}
 
 
-def run_spec_campaign(spec: CampaignSpec, journal_path: str,
+def run_spec_campaign(spec: CampaignSpec,
+                      journal_path: Optional[str] = None,
                       options: Optional[CampaignOptions] = None,
                       resume: bool = False,
                       progress: Optional[Callable[[dict], None]] = None
                       ) -> CampaignOutcome:
-    """Run (or resume) a JSON-spec campaign over its journal."""
+    """Run (or resume) a JSON-spec campaign over its journal.
+
+    ``journal_path=None`` journals into a temporary directory that is
+    removed on return: the campaign keeps its crash recovery and
+    retries, it just cannot be resumed.
+    """
+    if journal_path is None:
+        with tempfile.TemporaryDirectory(prefix="campaign-") as tmp:
+            return run_spec_campaign(
+                spec, os.path.join(tmp, "journal.jsonl"),
+                options=options, progress=progress)
     runner = functools.partial(run_spec_cell, spec.to_jsonable())
     return run_sharded(runner, spec.cells, journal_path,
                        _spec_header(spec), options=options,
@@ -70,7 +83,10 @@ def bench_spec(runs: int, *, drive: str = "ide", partition: int = 1,
                scale: float = 0.125, seed: int = 0,
                workload: Optional[str] = None, pattern: str = "stat",
                files: int = 10_000, tree_depth: int = 0,
-               fanout: int = 32, ops: int = 1_000) -> CampaignSpec:
+               fanout: int = 32, ops: int = 1_000,
+               clients: int = 1) -> CampaignSpec:
+    """``clients`` applies to the namespace workload only: the
+    streaming benchmark always runs on one client machine."""
     params = {
         "drive": drive, "partition": partition, "transport": transport,
         "server_heuristic": heuristic, "nfsheur": nfsheur,
@@ -78,7 +94,8 @@ def bench_spec(runs: int, *, drive: str = "ide", partition: int = 1,
     if workload == "namespace":
         params.update({"workload": "namespace", "pattern": pattern,
                        "files": files, "tree_depth": tree_depth,
-                       "fanout": fanout, "ops": ops})
+                       "fanout": fanout, "ops": ops,
+                       "num_clients": clients})
     return CampaignSpec(kind="bench", cells=runs, params=params)
 
 
@@ -87,7 +104,9 @@ def fold_bench(spec: CampaignSpec,
     """Fold a complete bench campaign into the `bench` record shape.
 
     Namespace-workload campaigns fold ``ops_per_s`` instead of
-    throughput; everything else about the record shape matches.
+    throughput; everything else about the record shape matches.  The
+    CLI adds only ``jobs``, which is how the record was made, not what
+    it measured.
     """
     if not outcome.complete:
         raise CampaignIncomplete(outcome, "bench campaign")
@@ -109,10 +128,10 @@ def fold_bench(spec: CampaignSpec,
     if namespace:
         record.update({
             "workload": "namespace",
-            "pattern": params.get("pattern", "stat"),
-            "files": params.get("files", 10_000),
-            "tree_depth": params.get("tree_depth", 0),
-            "ops": params.get("ops", 1_000),
+            "pattern": params["pattern"], "files": params["files"],
+            "tree_depth": params["tree_depth"],
+            "fanout": params["fanout"], "ops": params["ops"],
+            "clients": params["num_clients"],
             "ops_per_s": values,
             "mean_ops_s": summary.mean, "std_ops_s": summary.std})
     else:
@@ -123,56 +142,15 @@ def fold_bench(spec: CampaignSpec,
     return record, values
 
 
-def run_bench_campaign(spec: CampaignSpec, journal_path: str,
+def run_bench_campaign(spec: CampaignSpec,
+                       journal_path: Optional[str] = None,
                        options: Optional[CampaignOptions] = None,
-                       resume: bool = False,
-                       progress=None,
-                       history: Optional[str] = None
+                       resume: bool = False, progress=None
                        ) -> Tuple[dict, CampaignOutcome]:
     outcome = run_spec_campaign(spec, journal_path, options=options,
                                 resume=resume, progress=progress)
     record, _ = fold_bench(spec, outcome)
-    if history is not None:
-        from ..diagnose import append_history
-        append_history(history, record)
     return record, outcome
-
-
-def collect_metric_sharded(run_once, config, runs: int, jobs: int,
-                           metric: str = "throughput_mb_s"
-                           ) -> List[float]:
-    """Orchestrated replacement for the in-process ``--jobs`` pool.
-
-    Accepts the same arguments as the serial path in
-    :func:`repro.bench.runner.collect_metric`: an arbitrary picklable
-    ``run_once``, a base config, and the result attribute to extract.
-    Cells run in worker processes under an ephemeral journal (crash
-    recovery and retries included); the returned list is in seed order,
-    so any fold over it is byte-identical to serial.
-    """
-    seeds = [config.with_seed(config.seed + 1000 * index)
-             for index in range(runs)]
-    runner = functools.partial(_callable_cell, run_once, seeds, metric)
-    options = CampaignOptions(workers=min(jobs, runs))
-    with tempfile.TemporaryDirectory(prefix="bench-jobs-") as tmp:
-        outcome = run_sharded(
-            runner, runs, os.path.join(tmp, "journal.jsonl"),
-            {"campaign": {"kind": "bench-inline", "cells": runs},
-             "fingerprint": "ephemeral"},
-            options=options)
-    if not outcome.complete:
-        raise CampaignIncomplete(outcome, "bench --jobs")
-    return [o.result[metric] for o in outcome.outcomes]
-
-
-def collect_throughputs_sharded(run_once, config, runs: int,
-                                jobs: int) -> List[float]:
-    return collect_metric_sharded(run_once, config, runs, jobs,
-                                  metric="throughput_mb_s")
-
-
-def _callable_cell(run_once, seeds, metric: str, index: int) -> dict:
-    return {metric: getattr(run_once(seeds[index]), metric)}
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +162,6 @@ def chaos_spec(budget: int, *, transport: str = "udp",
                clients: int = 2, horizon: float = 20.0,
                max_events: int = 4, recovery: bool = True,
                seed: int = 0, workload: Optional[dict] = None,
-               metadata_journal: bool = True,
                ack_before_intent: bool = False) -> CampaignSpec:
     params = {"transport": transport, "server_heuristic": heuristic,
               "nfsheur": nfsheur, "num_clients": clients,
@@ -192,8 +169,6 @@ def chaos_spec(budget: int, *, transport: str = "udp",
               "mount_verifier_recovery": recovery, "seed": seed}
     if workload is not None:
         params["workload"] = workload
-    if not metadata_journal:
-        params["metadata_journal"] = False
     if ack_before_intent:
         params["meta_ack_before_intent"] = True
     return CampaignSpec(kind="chaos", cells=budget, params=params)
@@ -207,6 +182,7 @@ def fold_chaos(spec: CampaignSpec, outcome: CampaignOutcome,
     missing — but only cells that actually ran contribute, so a
     failure can never be silently *invented*; one can only be missed,
     and the accounting says exactly how many cells were not judged.
+    ``ok`` is true only when every cell was judged and none failed.
     """
     params = spec.params
     failures: dict = {}
@@ -237,10 +213,13 @@ def fold_chaos(spec: CampaignSpec, outcome: CampaignOutcome,
             "horizon": params["horizon"],
             "max_events": params["max_events"],
             "recovery": params["mount_verifier_recovery"],
+            "workload": params.get("workload", {}).get("kind", "write"),
+            "ack_before_intent": params.get("meta_ack_before_intent",
+                                            False),
             "runs": judged,
             "failing_cells": sum(f["occurrences"] for f in distinct),
             "distinct_failures": distinct,
-            "ok": not distinct}
+            "ok": not distinct and judged == spec.cells}
 
 
 def shrink_and_bundle(spec: CampaignSpec, record: dict,
@@ -264,7 +243,6 @@ def shrink_and_bundle(spec: CampaignSpec, record: dict,
         server_heuristic=params["server_heuristic"],
         nfsheur=params["nfsheur"], num_clients=params["num_clients"],
         mount_verifier_recovery=params["mount_verifier_recovery"],
-        metadata_journal=params.get("metadata_journal", True),
         meta_ack_before_intent=params.get("meta_ack_before_intent",
                                           False),
         seed=params["seed"])
@@ -287,7 +265,8 @@ def shrink_and_bundle(spec: CampaignSpec, record: dict,
                       "events": len(shrunk.schedule.events)})
 
 
-def run_chaos_campaign(spec: CampaignSpec, journal_path: str,
+def run_chaos_campaign(spec: CampaignSpec,
+                       journal_path: Optional[str] = None,
                        options: Optional[CampaignOptions] = None,
                        resume: bool = False, progress=None,
                        bundle_dir: Optional[str] = None,

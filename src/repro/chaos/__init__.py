@@ -11,8 +11,7 @@ and loss bursts?  See DESIGN.md §10 for the architecture.
 from .bundle import (BundleError, ReplayOutcome, bundle_dict,
                      config_from_bundle, read_bundle, replay_bundle,
                      write_bundle)
-from .engine import (CampaignRun, ChaosResult, LIVENESS_GRACE,
-                     run_campaign, run_chaos)
+from .engine import ChaosResult, LIVENESS_GRACE, run_chaos
 from .metadata import (MetadataWorkload, MetaOpsJournal, MixedWorkload,
                        metadata_verifier, metadata_worker,
                        workload_from_jsonable)
@@ -27,7 +26,7 @@ from .workload import (ChaosJournal, ChaosWorkload, chaos_verifier,
                        chaos_worker)
 
 __all__ = [
-    "BundleError", "CampaignRun", "ChaosJournal", "ChaosResult",
+    "BundleError", "ChaosJournal", "ChaosResult",
     "ChaosSchedule",
     "ChaosWorkload", "FAULT_KINDS", "FaultEvent", "LIVENESS_GRACE",
     "METADATA_ORACLE_NAMES", "MetaOpsJournal", "MetadataOracleInputs",
@@ -38,6 +37,6 @@ __all__ = [
     "evaluate_metadata_oracles",
     "evaluate_oracles", "failed_oracle_names", "metadata_verifier",
     "metadata_worker", "read_bundle",
-    "replay_bundle", "run_campaign", "run_chaos", "shrink",
+    "replay_bundle", "run_chaos", "shrink",
     "workload_from_jsonable", "write_bundle",
 ]

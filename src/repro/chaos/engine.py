@@ -5,12 +5,8 @@
 SHA-256 fingerprint over the run's canonical JSON.  Two invocations
 with equal inputs produce byte-identical fingerprints, which is what
 lets a repro bundle assert "this exact failure" rather than "a
-failure".
-
-:func:`run_campaign` fans a :class:`~.schedule.ScheduleFuzzer` across a
-budget of schedules, giving each run its own derived config seed so the
-non-fault randomness (CPU jitter, drive cache) varies across runs while
-schedule ``i`` stays pinned to ``(campaign seed, i)``.
+failure".  Fanning a fuzzer's schedules out over a budget is the
+campaign driver's job (:func:`repro.campaign.run_chaos_campaign`).
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..host.testbed import TestbedConfig, build_nfs_testbed
 from ..sim.rand import derive_seed
@@ -28,7 +24,7 @@ from .metadata import (MetadataWorkload, MetaOpsJournal, MixedWorkload,
 from .oracles import (MetadataOracleInputs, OracleInputs, OracleResult,
                       evaluate_metadata_oracles, evaluate_oracles,
                       failed_oracle_names)
-from .schedule import ChaosSchedule, ScheduleFuzzer
+from .schedule import ChaosSchedule
 from .workload import (ChaosJournal, ChaosWorkload, chaos_verifier,
                        chaos_worker)
 
@@ -224,35 +220,3 @@ def run_chaos(config: TestbedConfig, schedule: ChaosSchedule,
     return ChaosResult(schedule=schedule, workload=workload,
                        oracles=oracles, counters=counters,
                        fingerprint=_canonical_fingerprint(payload))
-
-
-@dataclass
-class CampaignRun:
-    """One schedule's outcome within a campaign."""
-
-    index: int
-    schedule: ChaosSchedule
-    result: ChaosResult
-
-
-def run_campaign(config: TestbedConfig, fuzzer: ScheduleFuzzer,
-                 budget: int,
-                 workload: Optional[ChaosWorkload] = None,
-                 on_result=None) -> List[CampaignRun]:
-    """Run ``budget`` fuzzed schedules; returns every run's outcome.
-
-    Run ``i`` uses config seed ``seed + 1000*i`` (spacing keeps the
-    derived streams of different runs far apart) while the schedule
-    itself depends only on the fuzzer's own seed and ``i``.
-    """
-    workload = workload or ChaosWorkload()
-    runs: List[CampaignRun] = []
-    for index in range(budget):
-        schedule = fuzzer.schedule(index)
-        run_config = config.with_seed(config.seed + 1000 * index)
-        result = run_chaos(run_config, schedule, workload)
-        run = CampaignRun(index=index, schedule=schedule, result=result)
-        runs.append(run)
-        if on_result is not None:
-            on_result(run)
-    return runs

@@ -16,35 +16,35 @@ Examples::
     python -m repro fig2 --trace t.json --metrics-out m.json
     python -m repro diagnose --trace t.json --metrics m.json
 
-Five extra verbs ride next to the figure ids: ``bench`` (one
-benchmark point, optionally parallel and machine-readable), ``replay``
-(capture a run's vnode-boundary trace and/or replay a trace file
-against an arbitrary testbed; see :mod:`repro.replay`), ``diagnose``
+Four extra verbs ride next to the figure ids: ``bench`` (one
+benchmark point, repeated and machine-readable), ``replay`` (capture a
+run's vnode-boundary trace and/or replay a trace file against an
+arbitrary testbed; see :mod:`repro.replay`), ``diagnose``
 (critical-path attribution, benchmark-trap detection, and the
 perf-regression gate over previously recorded artifacts; see
-:mod:`repro.diagnose`), ``chaos`` (fault-schedule fuzzing judged
+:mod:`repro.diagnose`), and ``chaos`` (fault-schedule fuzzing judged
 by correctness oracles, with shrinking repro bundles; see
-:mod:`repro.chaos`), and ``campaign`` (fleet-scale sharded bench /
-chaos campaigns with a checkpointed journal, worker-failure recovery,
-``--resume``, and a CSV/HTML report directory; see
-:mod:`repro.campaign`)::
+:mod:`repro.chaos`).
+
+``bench`` repeats and ``chaos fuzz`` schedules always run as a
+campaign (:mod:`repro.campaign`): cells sharded over ``--jobs`` forked
+workers, a checkpointed journal, worker-failure recovery, ``--resume``
+and an optional CSV/HTML ``--report`` directory.  ``--jobs`` sets only
+the worker count; the record is the same for any value::
 
     python -m repro chaos fuzz --budget 30 --seed 0 --json
     python -m repro chaos fuzz --budget 10000 --jobs 8 --json
     python -m repro chaos replay bundles/chaos-17.json
-    python -m repro campaign chaos --budget 100000 --jobs 8 \\
+    python -m repro chaos fuzz --budget 100000 --jobs 8 \\
         --journal campaigns/overnight/journal.jsonl --report reports/o1
-    python -m repro campaign chaos --budget 100000 --jobs 8 \\
+    python -m repro chaos fuzz --budget 100000 --jobs 8 \\
         --journal campaigns/overnight/journal.jsonl --resume
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
 import json
-import os
 import sys
 import time
 from typing import List, Optional
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=0.125,
                         help="file-size scale factor; 1.0 is the paper's "
                              "256 MB working set (default: 0.125)")
-    parser.add_argument("--runs", type=int, default=3,
+    parser.add_argument("--runs", type=POSITIVE_INT, default=3,
                         help="runs per point (paper uses >=10; "
                              "default: 3)")
     parser.add_argument("--seed", type=int, default=0,
@@ -163,10 +163,30 @@ def _run_one(experiment_id: str, args) -> None:
     print(f"paper claim: {experiment.paper_claim}")
 
 
+def _positive(cast):
+    """argparse type: a ``cast`` value above zero, so a bad count is a
+    one-line usage error (exit 2) instead of a traceback."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {cast.__name__}, got {text!r}")
+        return value
+    return parse
+
+
+POSITIVE_INT = _positive(int)
+POSITIVE_FLOAT = _positive(float)
+
+
 def _add_testbed_flags(parser: argparse.ArgumentParser) -> None:
     """The testbed knobs shared by the ``bench`` and ``replay`` verbs."""
     parser.add_argument("--drive", choices=["ide", "scsi"], default="ide")
-    parser.add_argument("--partition", type=int, default=1,
+    parser.add_argument("--partition", type=int, choices=(1, 2, 3, 4),
+                        default=1,
                         help="disk partition, 1 (outer) .. 4 (inner)")
     parser.add_argument("--transport", choices=["udp", "tcp"],
                         default="udp")
@@ -179,14 +199,18 @@ def _add_testbed_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_bench_parser() -> argparse.ArgumentParser:
+    from .workloads import PATTERNS
     parser = argparse.ArgumentParser(
         prog="nfstricks bench",
         description="One NFS benchmark point (§4.3), repeated and "
-                    "summarised; repeats optionally run in parallel.")
+                    "summarised.  Repeats run as a campaign on --jobs "
+                    "worker processes; the record is byte-identical for "
+                    "any --jobs.  Exit 3: campaign journal error; 4: "
+                    "partial (resumable with --journal and --resume).")
     _add_testbed_flags(parser)
-    parser.add_argument("--readers", type=int, default=4,
+    parser.add_argument("--readers", type=POSITIVE_INT, default=4,
                         help="concurrent sequential readers (default: 4)")
-    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--runs", type=POSITIVE_INT, default=3)
     parser.add_argument("--scale", type=float, default=0.125,
                         help="file-size scale factor (default: 0.125)")
     parser.add_argument("--workload", choices=["streaming", "namespace"],
@@ -194,24 +218,21 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                         help="streaming = the paper's §4.3 read "
                              "benchmark; namespace = metadata-heavy "
                              "directory-tree workload")
-    parser.add_argument("--pattern", default="stat",
-                        help="namespace access pattern "
-                             "(stat/list/grep/untar/edit)")
-    parser.add_argument("--files", type=int, default=10_000,
+    parser.add_argument("--pattern", choices=PATTERNS, default="stat",
+                        help="namespace access pattern")
+    parser.add_argument("--files", type=POSITIVE_INT, default=10_000,
                         help="namespace tree size in files")
     parser.add_argument("--tree-depth", type=int, default=0,
                         help="0 = one flat directory; >0 = nested "
                              "fanout^depth leaf directories")
     parser.add_argument("--fanout", type=int, default=32,
                         help="directories per level when nested")
-    parser.add_argument("--ops", type=int, default=1_000,
+    parser.add_argument("--ops", type=POSITIVE_INT, default=1_000,
                         help="namespace operations per run")
-    parser.add_argument("--clients", type=int, default=1,
+    parser.add_argument("--clients", type=POSITIVE_INT, default=1,
                         help="client machines sharing the namespace "
                              "workload")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the repeats; output "
-                             "is byte-identical to --jobs 1")
+    _add_orchestrator_flags(parser)
     parser.add_argument("--json", action="store_true",
                         help="print a machine-readable JSON record "
                              "instead of prose")
@@ -239,64 +260,41 @@ def _bench_config(args):
 
 
 def _main_bench(argv: List[str]) -> int:
-    from .bench.runner import collect_metric, run_nfs_once
-    from .stats import RunningSummary
+    from .campaign import bench_spec, run_bench_campaign
     args = _build_bench_parser().parse_args(argv)
-    config = _bench_config(args)
-    if args.workload == "namespace":
-        from .workloads import (NamespaceTreeSpec, NamespaceWorkload,
-                                run_namespace_once)
-        config = dataclasses.replace(config, num_clients=args.clients)
-        point = functools.partial(
-            run_namespace_once,
-            tree=NamespaceTreeSpec(files=args.files,
-                                   depth=args.tree_depth,
-                                   fanout=args.fanout),
-            workload=NamespaceWorkload(pattern=args.pattern,
-                                       ops=args.ops))
-        metric, unit = "ops_per_s", "ops/s"
-    else:
-        point = functools.partial(run_nfs_once, nreaders=args.readers,
-                                  scale=args.scale)
-        metric, unit = "throughput_mb_s", "MB/s"
-    values = collect_metric(point, config, args.runs, jobs=args.jobs,
-                            metric=metric)
-    acc = RunningSummary()
-    for value in values:
-        acc.add(value)
-    summary = acc.freeze()
-    record = {"verb": "bench", "drive": args.drive,
-              "partition": args.partition, "transport": args.transport,
-              "heuristic": args.heuristic, "nfsheur": args.nfsheur,
-              "seed": args.seed, "runs": args.runs, "jobs": args.jobs}
-    if args.workload == "namespace":
-        record.update({"workload": "namespace",
-                       "pattern": args.pattern, "files": args.files,
-                       "tree_depth": args.tree_depth,
-                       "fanout": args.fanout, "ops": args.ops,
-                       "clients": args.clients,
-                       "ops_per_s": values,
-                       "mean_ops_s": summary.mean,
-                       "std_ops_s": summary.std})
-    else:
-        record.update({"readers": args.readers, "scale": args.scale,
-                       "throughputs_mb_s": values,
-                       "mean_mb_s": summary.mean,
-                       "std_mb_s": summary.std})
+    namespace = args.workload == "namespace"
+    spec = bench_spec(args.runs, drive=args.drive,
+                      partition=args.partition, transport=args.transport,
+                      heuristic=args.heuristic, nfsheur=args.nfsheur,
+                      readers=args.readers, scale=args.scale,
+                      seed=args.seed, workload=args.workload,
+                      pattern=args.pattern, files=args.files,
+                      tree_depth=args.tree_depth, fanout=args.fanout,
+                      ops=args.ops, clients=args.clients)
+    as_json = args.json or args.out is not None
+    ran = _run_campaign(
+        "bench", args, spec, run_bench_campaign, quiet=as_json,
+        title=(f"bench: {args.runs} repeats of "
+               f"{args.transport}/{args.heuristic}/{args.nfsheur} "
+               f"{args.drive}{args.partition}"))
+    if isinstance(ran, int):
+        return ran
+    record, _outcome = ran
+    record["jobs"] = args.jobs
     record_json = json.dumps(record, sort_keys=True)
-    if args.json or args.out is not None:
+    if as_json:
         print(record_json)
-    elif args.workload == "namespace":
+    elif namespace:
         print(f"{args.transport}/{args.heuristic}/{args.nfsheur} "
               f"{args.drive}{args.partition} {args.pattern} "
               f"files={args.files}: "
-              f"{summary.mean:.1f} +/- {summary.std:.1f} {unit} "
-              f"({args.runs} runs, jobs={args.jobs})")
+              f"{record['mean_ops_s']:.1f} +/- {record['std_ops_s']:.1f} "
+              f"ops/s ({args.runs} runs, jobs={args.jobs})")
     else:
         print(f"{args.transport}/{args.heuristic}/{args.nfsheur} "
               f"{args.drive}{args.partition} readers={args.readers}: "
-              f"{summary.mean:.2f} +/- {summary.std:.2f} {unit} "
-              f"({args.runs} runs, jobs={args.jobs})")
+              f"{record['mean_mb_s']:.2f} +/- {record['std_mb_s']:.2f} "
+              f"MB/s ({args.runs} runs, jobs={args.jobs})")
     if args.out is not None:
         with open(args.out, "w") as handle:
             handle.write(record_json + "\n")
@@ -541,8 +539,7 @@ def _diagnose_rootcause(inputs, args) -> int:
 
 
 def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
-    """The schedule and testbed knobs shared by `campaign chaos` and
-    `chaos fuzz` (each adds its own --budget and --jobs defaults)."""
+    """The schedule and testbed knobs of `chaos fuzz`."""
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign master seed (default: 0)")
     parser.add_argument("--transport", choices=["udp", "tcp"],
@@ -552,7 +549,7 @@ def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
                              "(default/slowdown/always/cursor)")
     parser.add_argument("--nfsheur", choices=["default", "improved"],
                         default="default")
-    parser.add_argument("--clients", type=int, default=2,
+    parser.add_argument("--clients", type=POSITIVE_INT, default=2,
                         help="client machines (default: 2)")
     parser.add_argument("--horizon", type=float, default=20.0,
                         help="schedule horizon in simulated seconds")
@@ -583,12 +580,13 @@ def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
                         help="print a machine-readable campaign record")
 
 
-def _add_orchestrator_flags(parser: argparse.ArgumentParser,
-                            jobs_default: int = 1) -> None:
-    """The sharding/robustness knobs shared by `campaign` and
-    `chaos fuzz --jobs`."""
-    parser.add_argument("--jobs", type=int, default=jobs_default,
-                        help="worker processes to shard cells across")
+def _add_orchestrator_flags(parser: argparse.ArgumentParser) -> None:
+    """The fan-out knobs of `bench` and `chaos fuzz`: both always run
+    as a campaign (see :mod:`repro.campaign`)."""
+    parser.add_argument("--jobs", type=POSITIVE_INT, default=1,
+                        help="worker processes to shard cells across; "
+                             "the record is the same for any --jobs "
+                             "(default: 1)")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="campaign journal (JSONL); every completed "
                              "cell is committed here before anything "
@@ -604,24 +602,17 @@ def _add_orchestrator_flags(parser: argparse.ArgumentParser,
                         help="write a per-campaign report directory "
                              "(fold.json, cells.csv, coverage.json, "
                              "report.html)")
-    parser.add_argument("--cell-timeout", type=float, default=300.0,
+    parser.add_argument("--cell-timeout", type=POSITIVE_FLOAT,
+                        default=300.0,
                         help="wall-clock seconds per cell before its "
                              "worker is killed and the cell retried "
                              "(default: 300)")
-    parser.add_argument("--max-attempts", type=int, default=3,
+    parser.add_argument("--max-attempts", type=POSITIVE_INT, default=3,
                         help="attempts per cell before it is abandoned "
                              "(default: 3)")
     parser.add_argument("--wall-budget", type=float, default=None,
                         help="stop dispatching after this many seconds "
                              "and emit a partial, resumable result")
-
-
-def _campaign_options(args):
-    from .campaign import CampaignOptions
-    return CampaignOptions(workers=max(1, args.jobs),
-                           cell_timeout=args.cell_timeout,
-                           max_attempts=args.max_attempts,
-                           wall_budget=args.wall_budget)
 
 
 def _campaign_progress(total: int, quiet: bool):
@@ -666,139 +657,37 @@ def _campaign_progress(total: int, quiet: bool):
     return progress
 
 
-def _build_campaign_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nfstricks campaign",
-        description="Fleet-scale sharded campaigns with a checkpointed "
-                    "journal, worker-failure recovery, and --resume. "
-                    "Exit 0: complete and healthy; 1: complete with "
-                    "chaos failures; 3: campaign error; 4: partial "
-                    "(resumable with --resume).")
-    sub = parser.add_subparsers(dest="kind", required=True)
-    bench = sub.add_parser(
-        "bench", help="shard seeded benchmark repeats; the fold is "
-                      "byte-identical to a serial `bench` run")
-    _add_testbed_flags(bench)
-    bench.add_argument("--readers", type=int, default=4)
-    bench.add_argument("--runs", type=int, default=10,
-                       help="repeats = cells (default: 10)")
-    bench.add_argument("--scale", type=float, default=0.125)
-    bench.add_argument("--history", metavar="PATH", nargs="?",
-                       const=True, default=None,
-                       help="stream the folded record into the bench "
-                            "history store")
-    _add_orchestrator_flags(bench, jobs_default=2)
-    bench.add_argument("--json", action="store_true")
-    chaos = sub.add_parser(
-        "chaos", help="shard fuzzed fault schedules; failures are "
-                      "deduped by run fingerprint and shrunk once per "
-                      "distinct failure")
-    chaos.add_argument("--budget", type=int, default=1000,
-                       help="schedules = cells (default: 1000)")
-    _add_chaos_flags(chaos)
-    _add_orchestrator_flags(chaos, jobs_default=2)
-    return parser
-
-
-def _main_campaign(argv: List[str]) -> int:
-    import tempfile
-    from .campaign import (CampaignIncomplete, JournalError, bench_spec,
-                           chaos_spec, run_bench_campaign,
-                           run_chaos_campaign, write_report)
-    from .diagnose import DEFAULT_HISTORY_PATH
-    args = _build_campaign_parser().parse_args(argv)
-    if args.kind == "bench":
-        spec = bench_spec(args.runs, drive=args.drive,
-                          partition=args.partition,
-                          transport=args.transport,
-                          heuristic=args.heuristic,
-                          nfsheur=args.nfsheur, readers=args.readers,
-                          scale=args.scale, seed=args.seed)
-        title = (f"bench campaign: {args.runs} repeats of "
-                 f"{args.transport}/{args.heuristic}/{args.nfsheur} "
-                 f"{args.drive}{args.partition}")
-    else:
-        spec = chaos_spec(args.budget, transport=args.transport,
-                          heuristic=args.heuristic,
-                          nfsheur=args.nfsheur, clients=args.clients,
-                          horizon=args.horizon,
-                          max_events=args.max_events,
-                          recovery=not args.no_recovery,
-                          seed=args.seed,
-                          workload=_chaos_workload_jsonable(
-                              args.workload),
-                          ack_before_intent=args.ack_before_intent)
-        kind_tag = ("" if args.workload == "write"
-                    else f"{args.workload} ")
-        title = (f"chaos campaign: {args.budget} {kind_tag}schedules "
-                 f"on {args.transport}/{args.heuristic}")
-    options = _campaign_options(args)
-    progress = _campaign_progress(spec.cells, quiet=args.json)
-    tmp_dir = None
-    journal = args.journal
-    if journal is None:
-        tmp_dir = tempfile.TemporaryDirectory(prefix="campaign-")
-        journal = os.path.join(tmp_dir.name, "journal.jsonl")
+def _run_campaign(verb: str, args, spec, driver, title: str,
+                  quiet: bool, **driver_kwargs):
+    """Run ``spec`` through a campaign ``driver`` under the orchestrator
+    flags.  Returns ``(record, outcome)``, or the exit code when there
+    is no record: 3 for a journal error, 4 for a bench campaign that
+    could not complete (a partial chaos campaign still folds)."""
+    from .campaign import (CampaignIncomplete, CampaignOptions,
+                           JournalError, write_report)
+    options = CampaignOptions(workers=min(args.jobs, spec.cells),
+                              cell_timeout=args.cell_timeout,
+                              max_attempts=args.max_attempts,
+                              wall_budget=args.wall_budget)
     try:
-        if args.kind == "bench":
-            history = None
-            if args.history is not None:
-                history = (DEFAULT_HISTORY_PATH if args.history is True
-                           else args.history)
-            record, outcome = run_bench_campaign(
-                spec, journal, options=options, resume=args.resume,
-                progress=progress, history=history)
-        else:
-            record, outcome = run_chaos_campaign(
-                spec, journal, options=options, resume=args.resume,
-                progress=progress, bundle_dir=args.bundle_dir,
-                shrink_runs=args.shrink_runs)
+        record, outcome = driver(
+            spec, args.journal, options=options, resume=args.resume,
+            progress=_campaign_progress(spec.cells, quiet=quiet),
+            **driver_kwargs)
     except JournalError as error:
-        print(f"campaign: {error}", file=sys.stderr)
+        print(f"{verb}: {error}", file=sys.stderr)
         return 3
     except CampaignIncomplete as error:
-        outcome = error.outcome
         if args.report is not None:
-            write_report(args.report, outcome, title)
-        print(f"campaign: {error}", file=sys.stderr)
+            write_report(args.report, error.outcome, title)
+        print(f"{verb}: {error}", file=sys.stderr)
         if args.journal is not None:
-            print(f"campaign: journal kept at {args.journal}; "
-                  f"re-run with --resume to continue", file=sys.stderr)
+            print(f"{verb}: journal kept at {args.journal}; re-run "
+                  f"with --resume to continue", file=sys.stderr)
         return 4
-    finally:
-        if tmp_dir is not None:
-            tmp_dir.cleanup()
-    payload = {"record": record, "coverage": outcome.coverage}
     if args.report is not None:
-        paths = write_report(args.report, outcome, title,
-                             extra={"verb": f"campaign-{args.kind}"})
-        payload["report"] = paths["html"]
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        coverage = outcome.coverage
-        print(f"{title}: {coverage['done']}/{coverage['cells']} cells "
-              f"done ({coverage['retried']} retried, "
-              f"{coverage['timed_out']} timed out, "
-              f"{coverage['abandoned']} abandoned, "
-              f"{coverage['worker_crashes']} worker crashes)")
-        if args.kind == "bench":
-            print(f"  {record['mean_mb_s']:.2f} +/- "
-                  f"{record['std_mb_s']:.2f} MB/s over "
-                  f"{record['runs']} runs")
-        else:
-            verdict = ("all oracles green" if record["ok"] else
-                       f"{len(record['distinct_failures'])} distinct "
-                       f"failure(s) over "
-                       f"{record['failing_cells']} cell(s)")
-            print(f"  {verdict}")
-        if args.report is not None:
-            print(f"  report: {payload['report']}")
-    if not outcome.complete:
-        return 4
-    if args.kind == "chaos" and not record["ok"]:
-        return 1
-    return 0
+        write_report(args.report, outcome, title)
+    return record, outcome
 
 
 def _build_chaos_parser() -> argparse.ArgumentParser:
@@ -806,16 +695,18 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
         prog="nfstricks chaos",
         description="Chaos-test the NFS stack: fuzz seeded fault "
                     "schedules against the correctness oracles, shrink "
-                    "any failure to a minimal schedule, and replay "
-                    "repro bundles deterministically.  'fuzz' exits 1 "
-                    "if any oracle failed; 'replay' exits 1 if the "
-                    "bundle's failure did not reproduce bit-identically "
-                    "and 3 if the bundle file is missing, truncated, "
-                    "or corrupt.")
+                    "one failure per distinct fingerprint to a minimal "
+                    "schedule, and replay repro bundles "
+                    "deterministically.  'fuzz' exits 1 if any oracle "
+                    "failed, 3 on a campaign journal error, and 4 if "
+                    "the campaign is partial (resumable with --journal "
+                    "and --resume); 'replay' exits 1 if the bundle's "
+                    "failure did not reproduce bit-identically and 3 if "
+                    "the bundle file is missing, truncated, or corrupt.")
     sub = parser.add_subparsers(dest="mode", required=True)
     fuzz = sub.add_parser(
         "fuzz", help="run a fixed-seed campaign of fuzzed schedules")
-    fuzz.add_argument("--budget", type=int, default=30,
+    fuzz.add_argument("--budget", type=POSITIVE_INT, default=30,
                       help="schedules to run (default: 30)")
     _add_chaos_flags(fuzz)
     _add_orchestrator_flags(fuzz)
@@ -827,29 +718,20 @@ def _build_chaos_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _chaos_workload(kind: str):
-    """The default workload object for a `--workload` choice."""
-    from .chaos import ChaosWorkload, MetadataWorkload, MixedWorkload
-    if kind == "metadata":
-        return MetadataWorkload()
-    if kind == "mixed":
-        return MixedWorkload()
-    return ChaosWorkload()
-
-
 def _chaos_workload_jsonable(kind: str):
-    """Campaign-spec form: None for the default write workload, so a
-    pre-metadata spec (and its journal fingerprint) is unchanged."""
+    """Campaign-spec form of a `--workload` choice: None for the default
+    write workload, so a pre-metadata spec (and its journal
+    fingerprint) is unchanged."""
+    from .chaos import MetadataWorkload, MixedWorkload
     if kind == "write":
         return None
-    return _chaos_workload(kind).to_jsonable()
+    workload = MetadataWorkload() if kind == "metadata" \
+        else MixedWorkload()
+    return workload.to_jsonable()
 
 
 def _main_chaos(argv: List[str]) -> int:
-    from .chaos import (BundleError, ScheduleFuzzer,
-                        replay_bundle, run_campaign, shrink,
-                        write_bundle)
-    from .host.testbed import TestbedConfig
+    from .chaos import BundleError, replay_bundle
     args = _build_chaos_parser().parse_args(argv)
 
     if args.mode == "replay":
@@ -874,94 +756,18 @@ def _main_chaos(argv: List[str]) -> int:
                   f"{', '.join(outcome.result.failed_oracles) or 'none'}"
                   f"; fingerprint {outcome.result.fingerprint[:16]}...)")
         return 0 if outcome.reproduced else 1
-
-    if args.jobs > 1 or args.journal is not None:
-        return _main_chaos_sharded(args)
-
-    config = TestbedConfig(
-        transport=args.transport, server_heuristic=args.heuristic,
-        nfsheur=args.nfsheur, num_clients=args.clients,
-        mount_verifier_recovery=not args.no_recovery,
-        meta_ack_before_intent=args.ack_before_intent, seed=args.seed)
-    fuzzer = ScheduleFuzzer(args.seed, horizon=args.horizon,
-                            max_events=args.max_events)
-    workload = _chaos_workload(args.workload)
-    failures = []
-
-    def report(run):
-        if run.result.ok:
-            return
-        failures.append(run)
-        if not args.json:
-            print(f"schedule {run.index}: FAILED "
-                  f"{', '.join(run.result.failed_oracles)} "
-                  f"({len(run.schedule.events)} events)")
-
-    runs = run_campaign(config, fuzzer, args.budget, workload=workload,
-                        on_result=report)
-    failure_records = []
-    for run in failures:
-        target = run.result.failed_oracles[0]
-        run_config = config.with_seed(config.seed + 1000 * run.index)
-        shrunk = shrink(run_config, run.schedule, target,
-                        workload=workload, max_runs=args.shrink_runs)
-        minimal = shrunk.schedule
-        final = None
-        bundle_path = None
-        if args.bundle_dir is not None:
-            from .chaos import run_chaos
-            final = run_chaos(run_config, minimal, workload)
-            os.makedirs(args.bundle_dir, exist_ok=True)
-            bundle_path = os.path.join(args.bundle_dir,
-                                       f"chaos-{run.index}.json")
-            write_bundle(bundle_path, run_config, workload, minimal,
-                         final)
-        failure_records.append({
-            "index": run.index,
-            "failed_oracles": list(run.result.failed_oracles),
-            "fingerprint": run.result.fingerprint,
-            "shrunk_events": [e.to_jsonable() for e in minimal.events],
-            "shrink_runs": shrunk.runs,
-            "bundle": bundle_path,
-        })
-        if not args.json:
-            where = f" -> {bundle_path}" if bundle_path else ""
-            print(f"  shrunk to {len(minimal.events)} event(s) "
-                  f"in {shrunk.runs} runs{where}")
-
-    record = {"verb": "chaos-fuzz", "budget": args.budget,
-              "seed": args.seed, "transport": args.transport,
-              "heuristic": args.heuristic, "nfsheur": args.nfsheur,
-              "clients": args.clients, "horizon": args.horizon,
-              "max_events": args.max_events,
-              "recovery": not args.no_recovery,
-              "workload": args.workload,
-              "ack_before_intent": args.ack_before_intent,
-              "runs": len(runs),
-              "failures": failure_records,
-              "ok": not failures}
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        verdict = ("all oracles green" if not failures
-                   else f"{len(failures)} failing schedule(s)")
-        print(f"chaos fuzz: {len(runs)} schedules on "
-              f"{args.transport}/{args.heuristic}: {verdict}")
-    return 1 if failures else 0
+    return _main_chaos_fuzz(args)
 
 
-def _main_chaos_sharded(args) -> int:
-    """`chaos fuzz --jobs/--journal`: the campaign-orchestrated path.
+def _main_chaos_fuzz(args) -> int:
+    """`chaos fuzz`: a chaos campaign over ``--budget`` schedules.
 
-    Raises fuzzing from hundreds of schedules to 100k-class campaigns:
-    cells are sharded across workers, every verdict is journalled, and
-    failures are deduped by run fingerprint before shrinking — a long
-    campaign rediscovers the same bug many times, but each distinct
-    failure is shrunk and bundled exactly once.
+    Every verdict is journalled and failures are deduped by run
+    fingerprint: a long campaign rediscovers the same bug many times,
+    but with ``--bundle-dir`` each distinct failure is shrunk and
+    bundled exactly once.
     """
-    import tempfile
-    from .campaign import (CampaignIncomplete, JournalError, chaos_spec,
-                           run_chaos_campaign)
+    from .campaign import chaos_spec, run_chaos_campaign
     spec = chaos_spec(args.budget, transport=args.transport,
                       heuristic=args.heuristic, nfsheur=args.nfsheur,
                       clients=args.clients, horizon=args.horizon,
@@ -969,32 +775,18 @@ def _main_chaos_sharded(args) -> int:
                       recovery=not args.no_recovery, seed=args.seed,
                       workload=_chaos_workload_jsonable(args.workload),
                       ack_before_intent=args.ack_before_intent)
-    options = _campaign_options(args)
-    progress = _campaign_progress(spec.cells, quiet=args.json)
-    tmp_dir = None
-    journal = args.journal
-    if journal is None:
-        tmp_dir = tempfile.TemporaryDirectory(prefix="chaos-fuzz-")
-        journal = os.path.join(tmp_dir.name, "journal.jsonl")
-    try:
-        record, outcome = run_chaos_campaign(
-            spec, journal, options=options, resume=args.resume,
-            progress=progress, bundle_dir=args.bundle_dir,
-            shrink_runs=args.shrink_runs)
-    except (JournalError, CampaignIncomplete) as error:
-        print(f"chaos fuzz: {error}", file=sys.stderr)
-        return 3 if isinstance(error, JournalError) else 4
-    finally:
-        if tmp_dir is not None:
-            tmp_dir.cleanup()
-    if args.report is not None:
-        from .campaign import write_report
-        write_report(args.report, outcome,
-                     f"chaos fuzz: {args.budget} schedules on "
-                     f"{args.transport}/{args.heuristic}")
-    payload = {"record": record, "coverage": outcome.coverage}
+    kind_tag = "" if args.workload == "write" else f"{args.workload} "
+    ran = _run_campaign(
+        "chaos fuzz", args, spec, run_chaos_campaign, quiet=args.json,
+        title=(f"chaos fuzz: {args.budget} {kind_tag}schedules on "
+               f"{args.transport}/{args.heuristic}"),
+        bundle_dir=args.bundle_dir, shrink_runs=args.shrink_runs)
+    if isinstance(ran, int):
+        return ran
+    record, outcome = ran
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"record": record, "coverage": outcome.coverage},
+                         sort_keys=True))
     else:
         coverage = outcome.coverage
         verdict = ("all oracles green" if record["ok"] else
@@ -1023,8 +815,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _main_diagnose(argv[1:])
     if argv and argv[0] == "chaos":
         return _main_chaos(argv[1:])
-    if argv and argv[0] == "campaign":
-        return _main_campaign(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         _list_experiments()

@@ -42,13 +42,11 @@ def sweep_readers(title: str,
                   run_once: Callable[..., RunResult],
                   reader_counts: Sequence[int] = READER_COUNTS,
                   scale: float = 0.125, runs: int = 3,
-                  seed: int = 0, jobs: int = 1) -> SeriesSet:
+                  seed: int = 0) -> SeriesSet:
     """Throughput vs concurrent readers, one series per configuration.
 
-    ``jobs`` parallelises the per-point repeats; the per-run seed
-    schedule (``seed + 1000*run + nreaders``) and the order throughputs
-    are folded into the summary are the same either way, so the figure
-    is byte-identical to a serial sweep.
+    Run ``i`` of the point at ``n`` readers uses seed
+    ``seed + 1000*i + n``.
     """
     figure = SeriesSet(title=title, xlabel="readers")
     for label, config in configs:
@@ -59,7 +57,7 @@ def sweep_readers(title: str,
             acc = RunningSummary()
             with _sweep_context(label, readers=nreaders):
                 throughputs = collect_throughputs(
-                    point, config.with_seed(seed + nreaders), runs, jobs)
+                    point, config.with_seed(seed + nreaders), runs)
             for throughput in throughputs:
                 acc.add(throughput)
             series.add(nreaders, acc.freeze())
@@ -70,7 +68,7 @@ def sweep_strides(title: str,
                   configs: Sequence[Tuple[str, TestbedConfig]],
                   strides: Sequence[int] = (2, 4, 8),
                   scale: float = 0.125, runs: int = 3,
-                  seed: int = 0, jobs: int = 1) -> SeriesSet:
+                  seed: int = 0) -> SeriesSet:
     """Stride-read throughput vs stride count (§7's benchmark)."""
     figure = SeriesSet(title=title, xlabel="strides")
     for label, config in configs:
@@ -81,8 +79,7 @@ def sweep_strides(title: str,
             acc = RunningSummary()
             with _sweep_context(label, strides=stride_count):
                 throughputs = collect_throughputs(
-                    point, config.with_seed(seed + stride_count),
-                    runs, jobs)
+                    point, config.with_seed(seed + stride_count), runs)
             for throughput in throughputs:
                 acc.add(throughput)
             series.add(stride_count, acc.freeze())

@@ -63,8 +63,8 @@ class SequentialAllocator:
         #: file system's handles are identical no matter how many other
         #: testbeds the process built first.  The nfsheur table hashes
         #: the handle id, so this is what makes a run's results a pure
-        #: function of its config and seed (and lets ``--jobs`` parallel
-        #: repeats reproduce serial output byte for byte).
+        #: function of its config and seed (and lets a campaign cell
+        #: give the same bytes in any worker, after any other cells).
         self._inode_numbers = itertools.count(2)
         #: Directory metadata: separate number space (see
         #: :data:`DIR_INODE_BASE`) and a block region growing *down*

@@ -114,24 +114,3 @@ class TestRepeat:
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
             repeat(lambda config: None, TestbedConfig(), runs=0)
-
-
-class TestParallelRepeat:
-    """--jobs repeats: parallel output byte-identical to serial."""
-
-    def test_parallel_summary_matches_serial(self):
-        import functools
-        from repro.bench.runner import collect_throughputs
-        point = functools.partial(run_nfs_once, nreaders=2, scale=SCALE)
-        config = TestbedConfig(seed=11)
-        serial = collect_throughputs(point, config, runs=3, jobs=1)
-        parallel = collect_throughputs(point, config, runs=3, jobs=3)
-        assert parallel == serial           # bit-identical floats
-        assert repeat(point, config, runs=3, jobs=3) == \
-            repeat(point, config, runs=3, jobs=1)
-
-    def test_jobs_validated(self):
-        import functools
-        point = functools.partial(run_nfs_once, nreaders=1, scale=SCALE)
-        with pytest.raises(ValueError):
-            repeat(point, TestbedConfig(), runs=2, jobs=0)

@@ -17,10 +17,10 @@ import time
 import pytest
 
 from repro.campaign import (CampaignIncomplete, CampaignJournal,
-                            CampaignOptions, CampaignSpec, JournalError,
+                            CampaignOptions, CampaignOutcome,
+                            CampaignSpec, JournalError,
                             atomic_write_text, bench_spec, cells_csv,
-                            chaos_spec, collect_throughputs_sharded,
-                            fold_bench, fold_chaos, fold_json,
+                            chaos_spec, fold_bench, fold_chaos, fold_json,
                             fold_records, run_bench_cell,
                             run_chaos_cell, run_chaos_campaign,
                             run_sharded, run_spec_campaign,
@@ -253,6 +253,11 @@ class TestJournal:
 # Specs and cells
 # ---------------------------------------------------------------------------
 
+def _metadata_jsonable():
+    from repro.chaos import MetadataWorkload
+    return MetadataWorkload().to_jsonable()
+
+
 class TestSpec:
     def test_fingerprint_is_stable_and_discriminating(self):
         a1 = chaos_spec(10, seed=0)
@@ -261,6 +266,30 @@ class TestSpec:
         assert a1.fingerprint() == a2.fingerprint()
         assert a1.fingerprint() != b.fingerprint()
         assert a1.fingerprint() != bench_spec(10).fingerprint()
+
+    # Fingerprints the specs had before `bench` and `chaos fuzz` moved
+    # onto the campaign driver: a journal written then must resume now.
+    @pytest.mark.parametrize("spec,fingerprint", [
+        (lambda: chaos_spec(30),
+         "3f6e14c5905b51943b8d0f966cf168ce134f11eb51209a64d3deb84123a4ede9"),
+        (lambda: chaos_spec(6, workload=_metadata_jsonable(),
+                            ack_before_intent=True),
+         "ce205d32d6214a9189b12d7a0ca1bfc8f3be92b7084af95e3707517d69428e63"),
+        (lambda: bench_spec(10),
+         "749afd13614a879f0da8b120f1eb69fcd0bf8332589a12291ebf499055ea2196"),
+        (lambda: bench_spec(4, drive="scsi", partition=3, transport="tcp",
+                            heuristic="cursor", nfsheur="improved",
+                            readers=2, scale=0.05, seed=5),
+         "d094c5741f409d16f231effbdd6fc62b087656b321ebbeb2575d13c9276d4444"),
+    ], ids=["chaos-default", "chaos-metadata", "bench-default",
+            "bench-custom"])
+    def test_fingerprint_is_pinned(self, spec, fingerprint):
+        assert spec().fingerprint() == fingerprint
+
+    def test_namespace_bench_spec_carries_clients(self):
+        spec = bench_spec(2, workload="namespace", clients=3)
+        assert spec.params["num_clients"] == 3
+        assert "num_clients" not in bench_spec(2, clients=3).params
 
     def test_round_trips_through_json(self):
         spec = bench_spec(5, readers=2, scale=0.05, seed=3)
@@ -570,8 +599,7 @@ class TestDrivers:
         run_once = functools.partial(run_nfs_once, nreaders=2,
                                      scale=0.03)
         serial_list = collect_throughputs(run_once,
-                                          TestbedConfig(seed=0),
-                                          runs=4, jobs=1)
+                                          TestbedConfig(seed=0), runs=4)
         serial = repeat(run_once, TestbedConfig(seed=0), runs=4)
         assert json.dumps(throughputs) == json.dumps(serial_list)
         assert record["mean_mb_s"] == serial.mean
@@ -588,17 +616,6 @@ class TestDrivers:
             fold_bench(spec, outcome)
         assert info.value.outcome is outcome
         assert "cells done" in str(info.value)
-
-    def test_collect_throughputs_sharded_matches_serial(self):
-        from repro.bench.runner import collect_throughputs, run_nfs_once
-        import functools
-        run_once = functools.partial(run_nfs_once, nreaders=2,
-                                     scale=0.03)
-        config = TestbedConfig(seed=11)
-        serial = collect_throughputs(run_once, config, runs=3, jobs=1)
-        sharded = collect_throughputs_sharded(run_once, config, runs=3,
-                                              jobs=2)
-        assert json.dumps(serial) == json.dumps(sharded)
 
     def test_chaos_campaign_dedupes_by_fingerprint(self, tmp_path):
         # recovery=False reintroduces the lost-acked-data bug: many
@@ -642,17 +659,50 @@ class TestDrivers:
             options=_options(max_attempts=1))
         record = fold_chaos(spec, outcome)
         assert record["runs"] == 2  # only judged cells count
+        # Both judged cells passed, but one was never judged: not green.
+        assert not record["distinct_failures"]
+        assert record["ok"] is False
 
-    def test_bench_campaign_streams_into_history(self, tmp_path):
+    def test_fold_chaos_nothing_judged_is_not_ok(self, tmp_path):
+        spec = chaos_spec(2, seed=0)
+        outcome = run_sharded(
+            always_broken_cell, 2, str(tmp_path / "j.jsonl"),
+            {"fingerprint": spec.fingerprint()},
+            options=_options(workers=1, wall_budget=0.0))
+        record = fold_chaos(spec, outcome)
+        assert record["runs"] == 0
+        assert record["ok"] is False
+
+    def test_fold_chaos_names_workload(self):
+        from repro.campaign.orchestrator import CellOutcome
+        from repro.chaos import MixedWorkload
+        green = {"ok": True, "failed_oracles": [], "fingerprint": "f",
+                 "events": 0}
+        outcome = CampaignOutcome(
+            outcomes=[CellOutcome(index=0, status="done", result=green)],
+            coverage={})
+        write = fold_chaos(chaos_spec(1), outcome)
+        assert write["workload"] == "write"
+        assert write["ack_before_intent"] is False
+        assert write["ok"] is True
+        mixed = fold_chaos(chaos_spec(
+            1, workload=MixedWorkload().to_jsonable(),
+            ack_before_intent=True), outcome)
+        assert mixed["workload"] == "mixed"
+        assert mixed["ack_before_intent"] is True
+
+    def test_bench_campaign_streams_into_history(self, tmp_path, capsys):
+        # The history store gets the record `bench` printed, `jobs`
+        # included, whatever the worker count.
+        from repro.cli import main
         from repro.diagnose import load_history
-        from repro.campaign import run_bench_campaign
-        spec = bench_spec(2, seed=0, **SMALL)
         history = str(tmp_path / "history.jsonl")
-        record, outcome = run_bench_campaign(
-            spec, str(tmp_path / "j.jsonl"), options=_options(),
-            history=history)
-        stored = load_history(history)
-        assert stored == [record]
+        assert main(["bench", "--runs", "2", "--readers", "2",
+                     "--scale", "0.03", "--jobs", "2", "--json",
+                     "--history", history]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert load_history(history) == [printed]
+        assert printed["jobs"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +742,26 @@ class TestReport:
 # CLI
 # ---------------------------------------------------------------------------
 
+BENCH_ARGV = ["bench", "--runs", "2", "--readers", "2", "--scale",
+              "0.03", "--json"]
+CHAOS_ARGV = ["chaos", "fuzz", "--budget", "2", "--json"]
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _record(verb_argv, out):
+    """The deterministic record a fan-out verb printed."""
+    payload = json.loads(out)
+    return payload["record"] if verb_argv[0] == "chaos" else payload
+
+
 class TestCampaignCli:
+    """`bench` and `chaos fuzz` always run through the campaign driver."""
+
     def test_campaign_chaos_json(self, tmp_path, capsys):
         from repro.cli import main
-        code = main(["campaign", "chaos", "--budget", "3", "--jobs",
-                     "2", "--json"])
+        code = main(["chaos", "fuzz", "--budget", "3", "--jobs", "2",
+                     "--json"])
         out = capsys.readouterr().out
         assert code in (0, 1)
         payload = json.loads(out)
@@ -706,57 +771,103 @@ class TestCampaignCli:
     def test_campaign_bench_json_with_report(self, tmp_path, capsys):
         from repro.cli import main
         report = str(tmp_path / "rep")
-        code = main(["campaign", "bench", "--runs", "2", "--readers",
-                     "2", "--scale", "0.03", "--jobs", "2", "--json",
-                     "--report", report])
+        code = main(BENCH_ARGV + ["--jobs", "2", "--report", report])
         out = capsys.readouterr().out
         assert code == 0
-        payload = json.loads(out)
-        assert payload["record"]["runs"] == 2
-        assert os.path.exists(payload["report"])
-        assert os.path.exists(os.path.join(report, "fold.json"))
+        record = json.loads(out)
+        assert record["runs"] == 2 and record["jobs"] == 2
+        for name in ("fold.json", "cells.csv", "coverage.json",
+                     "report.html"):
+            assert os.path.exists(os.path.join(report, name))
+        fold = json.loads(open(os.path.join(report, "fold.json")).read())
+        assert [c["throughput_mb_s"] for c in fold["cells"]] \
+            == record["throughputs_mb_s"]
 
     def test_campaign_refuses_journal_reuse(self, tmp_path, capsys):
         from repro.cli import main
-        journal = str(tmp_path / "j.jsonl")
-        assert main(["campaign", "chaos", "--budget", "2", "--journal",
-                     journal, "--json"]) in (0, 1)
-        code = main(["campaign", "chaos", "--budget", "2", "--journal",
-                     journal, "--json"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "pass --resume" in err
+        for argv in (BENCH_ARGV, CHAOS_ARGV):
+            journal = str(tmp_path / f"{argv[0]}.jsonl")
+            assert main(argv + ["--journal", journal]) in (0, 1)
+            capsys.readouterr()
+            code = main(argv + ["--journal", journal])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert "pass --resume" in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
 
     def test_campaign_resume_is_idempotent(self, tmp_path, capsys):
         from repro.cli import main
+        for argv in (BENCH_ARGV, CHAOS_ARGV):
+            journal = str(tmp_path / f"{argv[0]}.jsonl")
+            assert main(argv + ["--journal", journal]) in (0, 1)
+            first = _record(argv, capsys.readouterr().out)
+            code = main(argv + ["--journal", journal, "--resume"])
+            second = _record(argv, capsys.readouterr().out)
+            assert code in (0, 1)
+            assert second == first
+
+    @pytest.mark.parametrize("argv", [BENCH_ARGV, CHAOS_ARGV],
+                             ids=["bench", "chaos"])
+    def test_partial_campaign_exits_four_and_resumes(self, tmp_path,
+                                                     capsys, argv):
+        from repro.cli import main
         journal = str(tmp_path / "j.jsonl")
-        assert main(["campaign", "chaos", "--budget", "2", "--journal",
-                     journal, "--json"]) in (0, 1)
-        first = json.loads(capsys.readouterr().out)
-        code = main(["campaign", "chaos", "--budget", "2", "--journal",
-                     journal, "--resume", "--json"])
-        second = json.loads(capsys.readouterr().out)
-        assert code in (0, 1)
-        assert second["record"] == first["record"]
+        code = main(argv + ["--journal", journal, "--wall-budget", "0"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "Traceback" not in captured.err
+        if argv[0] == "chaos":
+            # A partial chaos campaign still folds, but never as green.
+            record = json.loads(captured.out)["record"]
+            assert record["runs"] == 0 and record["ok"] is False
+        else:
+            assert "--resume" in captured.err and captured.out == ""
+        assert main(argv + ["--journal", journal, "--resume"]) in (0, 1)
+        resumed = _record(argv, capsys.readouterr().out)
+        assert main(argv) in (0, 1)
+        assert resumed == _record(argv, capsys.readouterr().out)
 
     def test_chaos_fuzz_sharded_matches_serial_verdicts(self, tmp_path,
                                                         capsys):
+        # --jobs only picks the worker count: the record and the report
+        # fold are byte-identical at one worker and at two.
         from repro.cli import main
-        code = main(["chaos", "fuzz", "--budget", "4", "--json"])
-        serial = json.loads(capsys.readouterr().out)
-        code2 = main(["chaos", "fuzz", "--budget", "4", "--jobs", "2",
-                      "--json"])
-        sharded = json.loads(capsys.readouterr().out)
-        assert code == code2
-        record = sharded["record"]
-        assert record["runs"] == serial["runs"]
-        serial_failures = {run["fingerprint"]
-                           for run in serial["failures"]}
-        sharded_cells = sum(f["occurrences"]
-                            for f in record["distinct_failures"])
-        assert sharded_cells == len(serial["failures"])
-        assert {f["fingerprint"] for f in record["distinct_failures"]} \
-            <= serial_failures or not serial_failures
+        outputs = {}
+        for jobs in ("1", "2"):
+            report = str(tmp_path / f"rep{jobs}")
+            code = main(["chaos", "fuzz", "--budget", "6", "--seed", "0",
+                         "--no-recovery", "--jobs", jobs, "--report",
+                         report, "--json"])
+            assert code == 1
+            record = json.loads(capsys.readouterr().out)["record"]
+            with open(os.path.join(report, "fold.json"), "rb") as handle:
+                outputs[jobs] = (json.dumps(record, sort_keys=True),
+                                 handle.read())
+        assert outputs["1"] == outputs["2"]
+        record = json.loads(outputs["1"][0])
+        assert record["runs"] == 6 and record["distinct_failures"]
+
+    def test_parent_format_chaos_journal_resumes(self, tmp_path, capsys):
+        # A journal the removed `campaign chaos --budget 3` verb wrote
+        # (header and two of three cells) resumes under `chaos fuzz`
+        # with the same flags and runs only the missing cell.
+        import shutil
+        from repro.cli import main
+        journal = str(tmp_path / "j.jsonl")
+        shutil.copy(os.path.join(DATA_DIR, "campaign-chaos-v1-journal.jsonl"),
+                    journal)
+        argv = ["chaos", "fuzz", "--budget", "3", "--json"]
+        assert main(argv + ["--journal", journal, "--resume"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["coverage"]["done"] == 3
+        assert resumed["coverage"]["attempts"] == 3
+        cells = [r["cell"] for r in CampaignJournal.load(journal).records
+                 if r["type"] == "result"]
+        assert cells == [0, 1, 2]
+        assert main(argv) == 0
+        assert resumed["record"] == \
+            json.loads(capsys.readouterr().out)["record"]
 
 
 # ---------------------------------------------------------------------------
@@ -787,20 +898,16 @@ def _count_results(journal_path):
 class TestOrchestratorCrashRecovery:
     BUDGET = 8
 
-    def _args(self, journal, report, resume=False):
-        args = [sys.executable, "-m", "repro", "campaign", "chaos",
-                "--budget", str(self.BUDGET), "--jobs", "2",
-                "--journal", journal, "--report", report, "--json"]
-        if resume:
-            args.append("--resume")
-        return args
+    def _kill_then_resume(self, tmp_path, argv):
+        def command(journal, report, resume=False):
+            return ([sys.executable, "-m", "repro"] + argv
+                    + ["--jobs", "2", "--journal", journal, "--report",
+                       report, "--json"] + (["--resume"] if resume else []))
 
-    def test_sigkilled_orchestrator_resumes_byte_identical(self,
-                                                           tmp_path):
         env = _campaign_env()
         ref_report = str(tmp_path / "ref")
         done = subprocess.run(
-            self._args(str(tmp_path / "ref.jsonl"), ref_report),
+            command(str(tmp_path / "ref.jsonl"), ref_report),
             env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode in (0, 1), done.stderr
 
@@ -808,7 +915,7 @@ class TestOrchestratorCrashRecovery:
         # Its own session, so the victim's pid is the process group of
         # the orchestrator and every worker it forks.
         victim = subprocess.Popen(
-            self._args(journal, str(tmp_path / "unused")), env=env,
+            command(journal, str(tmp_path / "unused")), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True)
         pgid = victim.pid
@@ -844,18 +951,30 @@ class TestOrchestratorCrashRecovery:
 
         resumed_report = str(tmp_path / "resumed")
         resumed = subprocess.run(
-            self._args(journal, resumed_report, resume=True),
+            command(journal, resumed_report, resume=True),
             env=env, capture_output=True, text=True, timeout=300)
         assert resumed.returncode in (0, 1), resumed.stderr
-        payload = json.loads(resumed.stdout)
-        assert payload["coverage"]["abandoned"] == 0
-        assert payload["coverage"]["done"] == self.BUDGET
 
         for name in ("fold.json", "cells.csv"):
             with open(os.path.join(ref_report, name), "rb") as ref, \
                     open(os.path.join(resumed_report, name), "rb") as res:
                 assert ref.read() == res.read(), \
                     f"{name} differs after crash + resume"
+        return done.stdout, resumed.stdout
+
+    def test_sigkilled_orchestrator_resumes_byte_identical(self,
+                                                           tmp_path):
+        _ref, resumed = self._kill_then_resume(
+            tmp_path, ["chaos", "fuzz", "--budget", str(self.BUDGET)])
+        payload = json.loads(resumed)
+        assert payload["coverage"]["abandoned"] == 0
+        assert payload["coverage"]["done"] == self.BUDGET
+
+    def test_sigkilled_bench_resumes_byte_identical(self, tmp_path):
+        ref, resumed = self._kill_then_resume(
+            tmp_path, ["bench", "--runs", str(self.BUDGET), "--readers",
+                       "2", "--scale", "0.1"])
+        assert resumed == ref
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Tests for the chaos engine: fuzzer, oracles, shrinker, bundles."""
 
 import json
+import os
 
 import pytest
 
 from repro.chaos import (ChaosSchedule, ChaosWorkload, FaultEvent,
                          ORACLE_NAMES, OracleInputs, ScheduleFuzzer,
                          evaluate_oracles, failed_oracle_names,
-                         read_bundle, replay_bundle, run_campaign,
-                         run_chaos, shrink, write_bundle)
+                         read_bundle, replay_bundle, run_chaos, shrink,
+                         write_bundle)
+from repro.campaign import CampaignOptions, chaos_spec, run_chaos_campaign
 from repro.host.testbed import TestbedConfig
 
 #: A crash late enough in the write phase that blocks acknowledged
@@ -141,13 +143,12 @@ class TestEngine:
     @pytest.mark.parametrize("transport,heuristic", [
         ("udp", "default"), ("tcp", "cursor")])
     def test_small_campaign_all_green(self, transport, heuristic):
-        config = TestbedConfig(transport=transport,
-                               server_heuristic=heuristic,
-                               num_clients=2, seed=0)
-        runs = run_campaign(config, ScheduleFuzzer(0), budget=5)
-        assert len(runs) == 5
-        assert all(run.result.ok for run in runs), \
-            [run.result.failed_oracles for run in runs]
+        spec = chaos_spec(5, transport=transport, heuristic=heuristic,
+                          clients=2, seed=0)
+        record, outcome = run_chaos_campaign(
+            spec, options=CampaignOptions(workers=1))
+        assert outcome.complete and record["runs"] == 5
+        assert record["ok"], record["distinct_failures"]
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +247,11 @@ class TestChaosCli:
         from repro.cli import main
         code = main(["chaos", "fuzz", "--budget", "3", "--seed", "0",
                      "--json"])
-        record = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)
         assert code == 0
+        record = payload["record"]
         assert record["ok"] and record["runs"] == 3
+        assert payload["coverage"]["done"] == 3
 
     def test_fuzz_failure_shrinks_and_bundles(self, tmp_path, capsys):
         from repro.cli import main
@@ -256,11 +259,15 @@ class TestChaosCli:
         code = main(["chaos", "fuzz", "--budget", "4", "--seed", "0",
                      "--no-recovery", "--bundle-dir", bundle_dir,
                      "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 1
-        assert record["failures"]
-        failure = record["failures"][0]
-        assert failure["bundle"] is not None
+        assert record["distinct_failures"]
+        # One bundle per distinct failure fingerprint, no more.
+        assert sorted(os.listdir(bundle_dir)) == sorted(
+            os.path.basename(f["bundle"])
+            for f in record["distinct_failures"])
+        failure = record["distinct_failures"][0]
+        assert failure["shrunk_events"] and failure["shrink_runs"] > 0
         # The written bundle replays to the same failure, and the CLI
         # replay verb agrees (exit 0 = reproduced).
         capsys.readouterr()
@@ -268,6 +275,16 @@ class TestChaosCli:
                      "--json"]) == 0
         replay = json.loads(capsys.readouterr().out)
         assert replay["reproduced"]
+
+    def test_fuzz_shrinks_only_with_bundle_dir(self, capsys):
+        from repro.cli import main
+        code = main(["chaos", "fuzz", "--budget", "4", "--seed", "0",
+                     "--no-recovery", "--json"])
+        record = json.loads(capsys.readouterr().out)["record"]
+        assert code == 1 and record["distinct_failures"]
+        for failure in record["distinct_failures"]:
+            assert "shrunk_events" not in failure
+            assert "bundle" not in failure
 
     def test_replay_missing_bundle_exits_three(self, tmp_path, capsys):
         from repro.cli import main

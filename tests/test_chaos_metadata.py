@@ -17,11 +17,12 @@ import pytest
 
 from repro.chaos import (ChaosSchedule, ChaosWorkload, FaultEvent,
                          METADATA_ORACLE_NAMES, MetadataWorkload,
-                         MixedWorkload, ScheduleFuzzer, read_bundle,
-                         replay_bundle, run_campaign, run_chaos,
-                         shrink, workload_from_jsonable, write_bundle)
+                         MixedWorkload, read_bundle, replay_bundle,
+                         run_chaos, shrink, workload_from_jsonable,
+                         write_bundle)
 from repro.chaos.bundle import (BUNDLE_VERSION, BUNDLE_VERSION_META,
                                 bundle_dict)
+from repro.campaign import CampaignOptions, chaos_spec, run_chaos_campaign
 from repro.host.testbed import TestbedConfig
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -108,10 +109,13 @@ class TestMetadataEngine:
         assert "no_lost_acked_metadata" not in names
 
     def test_small_metadata_campaign_all_green(self):
-        runs = run_campaign(_config(), ScheduleFuzzer(3), budget=4,
-                            workload=MetadataWorkload())
-        assert all(run.result.ok for run in runs), \
-            [run.result.failed_oracles for run in runs]
+        spec = chaos_spec(4, seed=3,
+                          workload=MetadataWorkload().to_jsonable())
+        record, outcome = run_chaos_campaign(
+            spec, options=CampaignOptions(workers=1))
+        assert outcome.complete and record["runs"] == 4
+        assert record["ok"], record["distinct_failures"]
+        assert record["workload"] == "metadata"
 
 
 class TestMetadataShrinkAndBundle:
@@ -163,7 +167,7 @@ class TestMetadataCli:
         code = main(["chaos", "fuzz", "--workload", "metadata",
                      "--budget", "2", "--seed", "3", "--horizon", "12",
                      "--max-events", "2", "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 0
         assert record["ok"] is True
         assert record["workload"] == "metadata"
@@ -172,7 +176,7 @@ class TestMetadataCli:
         from repro.cli import main
         code = main(["chaos", "fuzz", "--budget", "2", "--seed", "0",
                      "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 0
         assert record["workload"] == "write"
         assert record["ack_before_intent"] is False
@@ -185,12 +189,13 @@ class TestMetadataCli:
                      "--seed", "3", "--horizon", "12",
                      "--max-events", "2",
                      "--bundle-dir", str(tmp_path), "--json"])
-        record = json.loads(capsys.readouterr().out)
+        record = json.loads(capsys.readouterr().out)["record"]
         assert code == 1
         assert not record["ok"]
-        failure = record["failures"][0]
+        assert record["ack_before_intent"] is True
+        failure = record["distinct_failures"][0]
         assert "no_lost_acked_metadata" in failure["failed_oracles"]
-        assert failure["bundle"] is not None
+        assert os.path.exists(failure["bundle"])
 
         capsys.readouterr()
         assert main(["chaos", "replay", failure["bundle"],

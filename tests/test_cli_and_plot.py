@@ -81,6 +81,45 @@ class TestCli:
         assert "|" in out            # the plot was drawn
 
 
+class TestFanOutFlags:
+    """Bad fan-out flags are one argparse line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--runs", "0"],
+        ["bench", "--jobs", "0"],
+        ["bench", "--jobs", "-2"],
+        ["bench", "--readers", "0"],
+        ["bench", "--files", "0"],
+        ["bench", "--ops", "0"],
+        ["bench", "--clients", "0"],
+        ["bench", "--max-attempts", "0"],
+        ["bench", "--cell-timeout", "0"],
+        ["bench", "--partition", "7"],
+        ["bench", "--pattern", "nope"],
+        ["bench", "--runs", "two"],
+        ["chaos", "fuzz", "--budget", "0"],
+        ["chaos", "fuzz", "--jobs", "0"],
+        ["chaos", "fuzz", "--clients", "0"],
+        ["chaos", "fuzz", "--cell-timeout", "0", "--jobs", "2"],
+        ["chaos", "fuzz", "--cell-timeout", "nan"],
+        ["chaos", "fuzz", "--max-attempts", "0"],
+        ["fig1", "--runs", "0"],
+    ])
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(
+            ("nfstricks", "usage"))
+        assert "error: argument" in err
+
+    def test_campaign_is_not_a_verb(self, capsys):
+        assert main(["campaign"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+
 class TestBenchVerb:
     def test_json_output_parses(self, capsys):
         import json
@@ -94,14 +133,19 @@ class TestBenchVerb:
         assert record["mean_mb_s"] > 0
 
     def test_jobs_do_not_change_the_output(self, capsys):
-        args = ["bench", "--readers", "1", "--runs", "2",
-                "--scale", "0.02", "--json"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        # Only the echoed jobs count may differ.
-        assert parallel.replace('"jobs": 2', '"jobs": 1') == serial
+        # Any --jobs runs the same campaign on more or fewer workers:
+        # stdout is identical apart from the echoed worker count.
+        for args in (["bench", "--readers", "1", "--runs", "3",
+                      "--scale", "0.02", "--json"],
+                     ["bench", "--workload", "namespace", "--files",
+                      "120", "--ops", "12", "--clients", "2", "--runs",
+                      "3", "--json"]):
+            assert main(args + ["--jobs", "1"]) == 0
+            one = capsys.readouterr().out
+            assert main(args + ["--jobs", "3"]) == 0
+            three = capsys.readouterr().out
+            assert '"jobs": 1' in one and '"jobs": 3' in three
+            assert three.replace('"jobs": 3', '"jobs": 1') == one
 
     def test_prose_output(self, capsys):
         assert main(["bench", "--readers", "1", "--runs", "1",
