@@ -94,6 +94,27 @@ class TestRunners:
         assert first.elapsed != second.elapsed
 
 
+class TestParallelRepeat:
+    def test_parallel_summary_matches_serial(self, tmp_path):
+        # Fanning repeats out is the campaign driver's job; three
+        # workers must reproduce the in-process loop's floats exactly.
+        import functools
+        from repro.bench.runner import collect_throughputs
+        from repro.campaign import (CampaignOptions, bench_spec,
+                                    run_bench_campaign)
+        point = functools.partial(run_nfs_once, nreaders=2, scale=SCALE)
+        config = TestbedConfig(seed=11)
+        serial = collect_throughputs(point, config, runs=3)
+        spec = bench_spec(3, readers=2, scale=SCALE, seed=11)
+        record, _ = run_bench_campaign(
+            spec, str(tmp_path / "j.jsonl"),
+            options=CampaignOptions(workers=3, cell_timeout=60.0))
+        assert record["throughputs_mb_s"] == serial   # bit-identical
+        summary = repeat(point, config, runs=3)
+        assert (record["mean_mb_s"], record["std_mb_s"]) == \
+            (summary.mean, summary.std)
+
+
 class TestRepeat:
     def test_repeat_summarises(self):
         summary = repeat(lambda config: run_local_once(config, 1, SCALE),

@@ -606,6 +606,18 @@ class TestDrivers:
         assert record["std_mb_s"] == serial.std
         assert record["runs"] == 4
 
+    def test_collect_throughputs_sharded_matches_serial(self, tmp_path):
+        from repro.bench.runner import collect_throughputs, run_nfs_once
+        import functools
+        run_once = functools.partial(run_nfs_once, nreaders=2,
+                                     scale=0.03)
+        serial = collect_throughputs(run_once, TestbedConfig(seed=11),
+                                     runs=3)
+        spec = bench_spec(3, seed=11, **SMALL)
+        _, sharded = fold_bench(spec, run_spec_campaign(
+            spec, str(tmp_path / "j.jsonl"), options=_options()))
+        assert json.dumps(serial) == json.dumps(sharded)
+
     def test_fold_bench_refuses_partial(self, tmp_path):
         spec = bench_spec(3, seed=0, **SMALL)
         outcome = run_sharded(
