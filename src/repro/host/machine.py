@@ -79,7 +79,10 @@ class Machine:
             wait = self.scheduling_jitter()
             if wait > 0:
                 yield self.sim.timeout(wait)
-        yield self.cpu.acquire()
+        if not self.cpu.try_acquire():
+            # Contended: queue FIFO.  An uncontended grant continues
+            # here without a queue round-trip.
+            yield self.cpu.acquire()
         try:
             cost = seconds * self.dilation
             self.cpu_time_consumed += cost

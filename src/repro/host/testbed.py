@@ -234,6 +234,12 @@ class LocalTestbed:
         sim = self.sim
         iosched, drive, cache = self.iosched, self.drive, self.cache
         registry.gauge("kernel.bufq.depth", lambda: float(iosched.queued))
+        # The simulator's own work counts.  They stay out of counters():
+        # that fold feeds chaos fingerprints and the golden cells, and
+        # event counts are harness cost, not model output.
+        registry.gauge("sim.events_scheduled",
+                       lambda: float(sim.events_scheduled))
+        registry.gauge("sim.spawns", lambda: float(sim.spawns))
         registry.gauge("kernel.cache.hit_rate",
                        lambda: cache.stats.hit_rate)
         registry.gauge("disk.queue.outstanding",

@@ -121,8 +121,9 @@ class DiskIoScheduler:
             self.dispatched += 1
             request.done.add_callback(self._on_complete)
             if self.dispatch_overhead > 0:
-                self.sim.spawn(self._dispatch_later(request),
-                               name="iosched.dispatch")
+                # The command reaches the drive dispatch_overhead later.
+                self.sim.timeout(self.dispatch_overhead,
+                                 request).add_callback(self._dispatch)
             else:
                 self.drive.submit(request)
 
@@ -154,9 +155,8 @@ class DiskIoScheduler:
         if request.is_write:
             self._write_dispatches += 1
 
-    def _dispatch_later(self, request: DiskRequest):
-        yield self.sim.timeout(self.dispatch_overhead)
-        self.drive.submit(request)
+    def _dispatch(self, timeout: Event) -> None:
+        self.drive.submit(timeout.value)
 
     def _on_complete(self, event: Event) -> None:
         self._in_flight -= 1

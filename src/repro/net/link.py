@@ -39,30 +39,31 @@ class Link:
         self.sim = sim
         self.latency = latency
         self.name = name
+        self._delivery_name = f"{name}.delivery"
         self._nic = RateLimiter(sim, rate)
         self._bus = bus
         self.messages_sent = 0
         self.bytes_sent = 0
 
     def send(self, wire_bytes: int) -> Event:
-        """Returns an event that fires at delivery time."""
+        """Returns an event that fires at delivery time.
+
+        The delivery time is known at send, so the one ``delivery``
+        event is pushed straight to it: NIC (and bus) serialisation
+        finishing at ``t1``, then the fixed latency.  ``t1`` is formed
+        as ``now + (busy_until - now)``, the same float arithmetic as a
+        timeout on the serialisation followed by one on the latency.
+        """
         self.messages_sent += 1
         self.bytes_sent += wire_bytes
+        nic = self._nic
         if self._bus is not None:
-            self._bus.transfer(wire_bytes)
+            bus_done = self._bus.book(wire_bytes)
             # The NIC cannot run ahead of the bus: serialize on whichever
             # is more congested by aligning the NIC's clock to the bus's.
-            self._nic._busy_until = max(self._nic._busy_until,
-                                        self._bus.busy_until
-                                        - wire_bytes / self._nic.rate)
-        serialization_done = self._nic.transfer(wire_bytes)
-        done = self.sim.event(name=f"{self.name}.delivery")
-        self.sim.spawn(self._deliver(serialization_done, done),
-                       name=f"{self.name}.deliver")
-        return done
-
-    def _deliver(self, serialization_done: Event, done: Event):
-        yield serialization_done
-        yield self.sim.timeout(self.latency)
-        done.succeed()
-        return None
+            nic._busy_until = max(nic._busy_until,
+                                  bus_done - wire_bytes / nic.rate)
+        sim = self.sim
+        now = sim.now
+        t1 = now + (nic.book(wire_bytes) - now)
+        return Event(sim, self._delivery_name).succeed_at(t1 + self.latency)

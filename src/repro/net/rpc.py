@@ -115,6 +115,10 @@ class RpcClient:
         self.max_timeout = max_timeout
         self.jitter = jitter
         self.name = name
+        # One event/process name per endpoint, bound once: a name is a
+        # label for repr and errors, never an ordering input.
+        self._reply_name = f"{name}.reply"
+        self._retry_name = f"{name}.retry"
         self._rng = rng
         self._xids = itertools.count(1)
         self._pending: Dict[int, Event] = {}
@@ -155,7 +159,7 @@ class RpcClient:
         call span nests under.
         """
         xid = next(self._xids)
-        reply = self.sim.event(name=f"{self.name}.xid{xid}")
+        reply = Event(self.sim, self._reply_name)
         self._pending[xid] = reply
         self.calls += 1
         tracer = self.sim.obs.tracer
@@ -187,7 +191,7 @@ class RpcClient:
         self.out.send(message, message.payload_bytes)
         if self.retransmit_timeout is not None:
             self.sim.spawn(self._watchdog(message, reply),
-                           name=f"{self.name}.retry{xid}")
+                           name=self._retry_name)
         return reply
 
     def _watchdog(self, message: RpcMessage, reply: Event):
@@ -312,6 +316,7 @@ class RpcServer:
         self.sim = sim
         self.out = out_transport
         self.name = name
+        self._handler_name = f"{name}.req"
         self.dupreq_cache_size = dupreq_cache_size
         self.handler = None
         self.requests = 0
@@ -370,8 +375,7 @@ class RpcServer:
             else:
                 self._executed_keys.add(key)
         self.executed += 1
-        self.sim.spawn(self._handle(message),
-                       name=f"{self.name}.req{message.xid}")
+        self.sim.spawn(self._handle(message), name=self._handler_name)
 
     def _handle(self, message: RpcMessage):
         # The spawned process bootstraps at zero delay, so ``now`` here

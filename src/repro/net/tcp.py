@@ -12,10 +12,12 @@ What distinguishes NFS over TCP in the paper (§5.4):
 
 The model: writes enter a FIFO; a sender process drains it, transmitting
 each message when window space is available; the receiver frees window
-space one acknowledgement-latency after delivery.  Loss and retransmit are modelled as
-a fast-retransmit-class penalty per lost segment (a few milliseconds,
-versus UDP's coarse RPC timer) — negligible on the paper's LAN, decisive
-in the lossy-network extension experiment.
+space one acknowledgement-latency after delivery (a timeout whose
+callback returns the bytes and wakes the blocked sender).  Loss and
+retransmit are modelled as a fast-retransmit-class penalty per lost
+segment (a few milliseconds, versus UDP's coarse RPC timer) —
+negligible on the paper's LAN, decisive in the lossy-network extension
+experiment.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ class TcpConnection:
         self.retransmit_timeout = retransmit_timeout
         self.faults = faults
         self.name = name
+        self._window_name = f"{name}.window"
         self._rng = rng or random.Random(0x7C9)
         self._receiver: Optional[Callable[[Any], None]] = None
         self._sendq: Store = Store(sim)
@@ -85,7 +88,10 @@ class TcpConnection:
 
     def _sender(self):
         while True:
-            message, payload, enqueued = yield self._sendq.get()
+            item = self._sendq.try_get()
+            if item is None:
+                item = yield self._sendq.get()
+            message, payload, enqueued = item
             plan = plan_tcp_stream(payload)
             yield from self._reserve_window(min(plan.wire_bytes,
                                                 self.window))
@@ -123,22 +129,20 @@ class TcpConnection:
             # window waits — the transport latency an RPC actually sees.
             self._m_wire.observe(self.sim.now - enqueued)
             self._receiver(message)
-            self.sim.spawn(
-                self._release_window_later(min(plan.wire_bytes,
-                                               self.window)),
-                name=f"{self.name}.ack")
+            # The ACK that frees the window lands ACK_LATENCY later.
+            self.sim.timeout(self.ACK_LATENCY,
+                             min(plan.wire_bytes, self.window)
+                             ).add_callback(self._release_window)
 
     def _reserve_window(self, nbytes: int):
         while self._window_free < nbytes:
-            gate = self.sim.event(name=f"{self.name}.window")
+            gate = Event(self.sim, self._window_name)
             self._window_waiters.append(gate)
             yield gate
         self._window_free -= nbytes
         return None
 
-    def _release_window_later(self, nbytes: int):
-        yield self.sim.timeout(self.ACK_LATENCY)
-        self._window_free += nbytes
+    def _release_window(self, ack: Event) -> None:
+        self._window_free += ack.value
         while self._window_waiters:
             self._window_waiters.popleft().succeed()
-        return None

@@ -202,6 +202,8 @@ class NfsMount:
                              f"{self.config.transport!r}")
         self.heuristic: Heuristic = heuristic or DefaultHeuristic()
         self.name = name
+        self._nfsiod_name = f"{name}.nfsiod"
+        self._nfsiod_write_name = f"{name}.nfsiod-w"
         #: Vnode-boundary capture sink (:mod:`repro.replay`): records
         #: each application-level op at issue time.  ``None`` (the
         #: default) keeps the hooks to a single ``is None`` test — the
@@ -397,7 +399,7 @@ class NfsMount:
             if self.nfsiods.try_acquire():
                 self.sim.spawn(self._nfsiod_write(nfile, block, entry,
                                                   parent=span),
-                               name=f"{self.name}.nfsiod-w")
+                               name=self._nfsiod_write_name)
             else:
                 yield from self._write_block(nfile, block, entry,
                                              parent=span)
@@ -1025,7 +1027,7 @@ class NfsMount:
             self.stats.readahead_issued += 1
             self.sim.spawn(self._nfsiod_fetch(nfile, block,
                                               parent=parent),
-                           name=f"{self.name}.nfsiod")
+                           name=self._nfsiod_name)
 
     def _nfsiod_fetch(self, nfile: NfsFile, block: int, parent=None):
         """An nfsiod carrying one asynchronous READ (holds the daemon)."""

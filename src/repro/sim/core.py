@@ -53,6 +53,8 @@ class Simulator:
         #: The single scheduling entry point: every event, timeout and
         #: process bootstrap lands here.
         self._push = self._queue.push
+        #: Processes started so far (the ``sim.spawns`` gauge).
+        self.spawns = 0
         self._running = False
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.bind(self)
@@ -77,7 +79,13 @@ class Simulator:
 
     def spawn(self, generator, name: Optional[str] = None) -> Process:
         """Start a new process from a generator; returns its Process."""
+        self.spawns += 1
         return Process(self, generator, name=name)
+
+    @property
+    def events_scheduled(self) -> int:
+        """Queue entries pushed so far: events, timeouts, bootstraps."""
+        return self._queue.scheduled
 
     # ------------------------------------------------------------------
     # Scheduling and the main loop

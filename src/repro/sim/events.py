@@ -4,8 +4,9 @@ An :class:`Event` is a one-shot occurrence that processes can wait on.
 Events move through three states: *pending* (created, not yet fired),
 *triggered* (scheduled to fire at a known simulation time), and
 *processed* (callbacks have run).  Waiting on an already-processed event
-resumes the waiter immediately on the next scheduler step, so there is no
-lost-wakeup race.
+resumes the waiter at once, synchronously inside the ``yield`` (or the
+:meth:`Event.add_callback` call) without a queue round-trip, so there
+is no lost-wakeup race.
 
 This module sits on the kernel's hottest path — a replay run processes
 hundreds of events per NFS operation — so the primitives are written
@@ -78,6 +79,24 @@ class Event:
             from .errors import SchedulingError
             raise SchedulingError(f"cannot schedule {self!r} in the past")
         sim._push(sim.now + delay, self)
+        return self
+
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Like :meth:`succeed`, at the absolute time ``when``.
+
+        For callers that computed the firing time themselves: pushing
+        ``when`` as is keeps its float value exact, where
+        ``succeed(delay=when - now)`` would re-add ``now``.
+        """
+        if self.state != PENDING:
+            raise RuntimeError(f"{self!r} already triggered")
+        sim = self.sim
+        if when < sim.now:
+            from .errors import SchedulingError
+            raise SchedulingError(f"cannot schedule {self!r} in the past")
+        self.state = TRIGGERED
+        self.value = value
+        sim._push(when, self)
         return self
 
     def fail(self, error: BaseException, delay: float = 0.0) -> "Event":
@@ -222,3 +241,12 @@ class EventQueue:
 
     def peek_time(self) -> float:
         return self._heap[0][0]
+
+    @property
+    def scheduled(self) -> int:
+        """Entries ever pushed: the tie-break counter's next value.
+
+        Read from the counter's ``repr`` (``count(N)``), so counting
+        costs nothing per push.
+        """
+        return int(repr(self._counter)[6:-1])

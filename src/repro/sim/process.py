@@ -13,7 +13,9 @@ a throwaway event, and the yielded event is subscribed to inline.  The
 flattening is pure mechanics: the sequence of queue pushes (and
 therefore the deterministic FIFO tie-break order) is exactly the one an
 unflattened trampoline produces, which the golden determinism battery
-pins.
+pins.  One push is saved on purpose: a process that finishes with no
+subscriber is marked processed at once instead of queueing a completion
+event that would run no callbacks (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -99,9 +101,16 @@ class Process(Event):
             else:
                 yielded = self._send(value)
         except StopIteration as stop:
+            self.value = stop.value
+            if self.callbacks is None:
+                # Nobody waits: the completion event would fire with no
+                # callbacks to run, so the process is processed now.  A
+                # later ``yield proc`` or add_callback sees PROCESSED
+                # and resumes synchronously with the value.
+                self.state = PROCESSED
+                return
             # Completion is a plain succeed(), flattened.
             self.state = TRIGGERED
-            self.value = stop.value
             sim = self.sim
             sim._push(sim.now, self)
             return

@@ -90,6 +90,13 @@ class Store:
         else:
             self._items.append(item)
 
+    def try_get(self) -> Any:
+        """Take the oldest item if one is queued, else ``None``; never
+        blocks (the twin of :meth:`Resource.try_acquire`)."""
+        if self._items:
+            return self._items.popleft()
+        return None
+
     def get(self) -> Event:
         event = Event(self.sim, name="store.get")
         if self._items:
@@ -106,7 +113,7 @@ class RateLimiter:
     """A fixed-bandwidth pipe shared by many transfers.
 
     ``transfer(nbytes)`` returns an event that fires when the transfer
-    completes.  Transfers are serialised FIFO, which models a bus or a
+    completes; ``book(nbytes)`` only returns its finish time.  Transfers are serialised FIFO, which models a bus or a
     half-duplex link: the pipe's finish time advances by
     ``nbytes / rate`` per transfer and never runs ahead of ``sim.now``.
     """
@@ -121,14 +128,23 @@ class RateLimiter:
         self._busy_until = 0.0
         self.bytes_moved = 0
 
-    def transfer(self, nbytes: int) -> Event:
+    def book(self, nbytes: int) -> float:
+        """Reserve the pipe for ``nbytes``; return the finish time.
+
+        Schedules nothing: for callers that know the completion time
+        and need no event for it.
+        """
         if nbytes < 0:
             raise ValueError("negative transfer size")
         start = max(self.sim.now, self._busy_until)
         finish = start + self.overhead + nbytes / self.rate
         self._busy_until = finish
         self.bytes_moved += nbytes
-        return self.sim.timeout(finish - self.sim.now)
+        return finish
+
+    def transfer(self, nbytes: int) -> Event:
+        """Book the pipe; the returned event fires at the finish."""
+        return self.sim.timeout(self.book(nbytes) - self.sim.now)
 
     @property
     def busy_until(self) -> float:
