@@ -215,9 +215,9 @@ class BufferCache:
         self._flush_run(run_start, run_len, waits, stream, parent)
 
         if not waits:
-            done = self.sim.event(name="cache.read")
-            done.succeed()
-            return done
+            # Every block was resident: the read is already complete,
+            # and the caller's yield resumes without a queue entry.
+            return self.sim.event(name="cache.read").succeed_now()
         if len(waits) == 1:
             return waits[0]
         return self.sim.all_of(waits)

@@ -118,7 +118,6 @@ class RpcClient:
         # One event/process name per endpoint, bound once: a name is a
         # label for repr and errors, never an ordering input.
         self._reply_name = f"{name}.reply"
-        self._retry_name = f"{name}.retry"
         self._rng = rng
         self._xids = itertools.count(1)
         self._pending: Dict[int, Event] = {}
@@ -190,34 +189,40 @@ class RpcClient:
                              client=self.name, trace_ctx=trace_ctx)
         self.out.send(message, message.payload_bytes)
         if self.retransmit_timeout is not None:
-            self.sim.spawn(self._watchdog(message, reply),
-                           name=self._retry_name)
+            self._arm(message, reply, self.sim.now, 0)
         return reply
 
-    def _watchdog(self, message: RpcMessage, reply: Event):
-        started = self.sim.now
-        attempt = 0
-        while True:
-            delay = self.backoff_schedule(attempt)
-            if self.jitter > 0.0 and self._rng is not None:
-                delay *= 1.0 + self.jitter * self._rng.random()
-            yield self.sim.timeout(delay)
-            if reply.triggered:
-                return None
-            if (self.max_retransmits is not None
-                    and attempt >= self.max_retransmits):
-                # Terminal failure: deliver RpcTimeout to the waiter and
-                # forget the xid (a late reply is dropped as unknown).
-                self._pending.pop(message.xid, None)
-                self.timeouts += 1
-                self._finish_attempts(message.xid, "timeout")
-                reply.fail(RpcTimeout(message.xid, attempt + 1,
-                                      self.sim.now - started))
-                return None
-            attempt += 1
-            self.retransmitted += 1
-            self._retry_attempt(message.xid)
-            self.out.send(message, message.payload_bytes)
+    def _arm(self, message: RpcMessage, reply: Event, started: float,
+             attempt: int) -> None:
+        """Start the retransmission timer for ``attempt`` (0-based).
+
+        The timer is a timeout callback, not a process: it is never
+        cancelled, and a fire after the reply has arrived does nothing.
+        """
+        delay = self.backoff_schedule(attempt)
+        if self.jitter > 0.0 and self._rng is not None:
+            delay *= 1.0 + self.jitter * self._rng.random()
+        self.sim.timeout(delay).add_callback(
+            lambda _timer: self._on_timer(message, reply, started, attempt))
+
+    def _on_timer(self, message: RpcMessage, reply: Event, started: float,
+                  attempt: int) -> None:
+        if reply.triggered:
+            return
+        if (self.max_retransmits is not None
+                and attempt >= self.max_retransmits):
+            # Terminal failure: deliver RpcTimeout to the waiter and
+            # forget the xid (a late reply is dropped as unknown).
+            self._pending.pop(message.xid, None)
+            self.timeouts += 1
+            self._finish_attempts(message.xid, "timeout")
+            reply.fail(RpcTimeout(message.xid, attempt + 1,
+                                  self.sim.now - started))
+            return
+        self.retransmitted += 1
+        self._retry_attempt(message.xid)
+        self.out.send(message, message.payload_bytes)
+        self._arm(message, reply, started, attempt + 1)
 
     def _close_attempt(self, xid: int, reason: str) -> None:
         """Close the xid's newest attempt window, exactly once.
@@ -274,7 +279,9 @@ class RpcClient:
         pending = self._pending.pop(message.xid, None)
         if pending is not None and not pending.triggered:
             self._finish_attempts(message.xid, "reply")
-            pending.succeed(message.body)
+            # The caller resumes here, inside the delivery, with no
+            # queue entry (DESIGN.md §12).
+            pending.succeed_now(message.body)
         # Late or duplicate replies (post-retransmit, post-timeout) are
         # dropped, as real RPC clients drop replies with unknown xids —
         # and their attempt windows were already closed, so no latency
@@ -375,11 +382,11 @@ class RpcServer:
             else:
                 self._executed_keys.add(key)
         self.executed += 1
-        self.sim.spawn(self._handle(message), name=self._handler_name)
+        self.sim.start(self._handle(message), name=self._handler_name)
 
     def _handle(self, message: RpcMessage):
-        # The spawned process bootstraps at zero delay, so ``now`` here
-        # is still the request's arrival time at the server.
+        # Started in place by _on_request, so ``now`` here is the
+        # request's arrival time at the server.
         arrived = self.sim.now
         tracer = self.sim.obs.tracer
         if tracer.enabled:

@@ -11,9 +11,13 @@ What distinguishes NFS over TCP in the paper (§5.4):
 * flow control paces the sender via a window of unacknowledged bytes.
 
 The model: writes enter a FIFO; a sender process drains it, transmitting
-each message when window space is available; the receiver frees window
-space one acknowledgement-latency after delivery (a timeout whose
-callback returns the bytes and wakes the blocked sender).  Loss and
+each message when window space is available.  Each delivery returns its
+window bytes one acknowledgement-latency later.  The ACK is a record,
+``(arrival time, bytes)``, not an event: the sender credits every ACK
+that has arrived whenever it next needs window, and only a sender still
+short of window waits, on an event at the oldest outstanding ACK's
+arrival time.  An ACK that nobody waits for costs no queue entry, so a
+drained run ends at the last delivery, not at its ACK.  Loss and
 retransmit are modelled as a fast-retransmit-class penalty per lost
 segment (a few milliseconds, versus UDP's coarse RPC timer) —
 negligible on the paper's LAN, decisive in the lossy-network extension
@@ -66,12 +70,12 @@ class TcpConnection:
         self.retransmit_timeout = retransmit_timeout
         self.faults = faults
         self.name = name
-        self._window_name = f"{name}.window"
         self._rng = rng or random.Random(0x7C9)
         self._receiver: Optional[Callable[[Any], None]] = None
         self._sendq: Store = Store(sim)
         self._window_free = window
-        self._window_waiters: deque = deque()
+        #: ACKs not yet credited: (arrival time, bytes), oldest first.
+        self._acks: deque = deque()
         self.messages_sent = 0
         self.retransmits = 0
         self._m_wire = sim.obs.registry.histogram("net.wire_s")
@@ -93,8 +97,8 @@ class TcpConnection:
                 item = yield self._sendq.get()
             message, payload, enqueued = item
             plan = plan_tcp_stream(payload)
-            yield from self._reserve_window(min(plan.wire_bytes,
-                                                self.window))
+            held = min(plan.wire_bytes, self.window)
+            yield from self._reserve_window(held)
             yield self.sim.timeout(self.SEND_OVERHEAD)
             if self.faults is not None:
                 # A partition stalls the stream: TCP keeps retrying and
@@ -130,19 +134,19 @@ class TcpConnection:
             self._m_wire.observe(self.sim.now - enqueued)
             self._receiver(message)
             # The ACK that frees the window lands ACK_LATENCY later.
-            self.sim.timeout(self.ACK_LATENCY,
-                             min(plan.wire_bytes, self.window)
-                             ).add_callback(self._release_window)
+            self._acks.append((self.sim.now + self.ACK_LATENCY, held))
 
     def _reserve_window(self, nbytes: int):
-        while self._window_free < nbytes:
-            gate = Event(self.sim, self._window_name)
-            self._window_waiters.append(gate)
-            yield gate
+        sim = self.sim
+        acks = self._acks
+        while True:
+            while acks and acks[0][0] <= sim.now:
+                self._window_free += acks.popleft()[1]
+            if self._window_free >= nbytes:
+                break
+            # Short of window: sleep until the oldest ACK lands.  The
+            # bytes in flight all sit in ``acks``, so there is one.
+            # succeed_at keeps the arrival time's float exact.
+            yield Event(sim).succeed_at(acks[0][0])
         self._window_free -= nbytes
         return None
-
-    def _release_window(self, ack: Event) -> None:
-        self._window_free += ack.value
-        while self._window_waiters:
-            self._window_waiters.popleft().succeed()

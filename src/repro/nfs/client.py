@@ -1130,5 +1130,11 @@ class NfsMount:
                 done.fail(exc)
                 raise
         self._cache[key] = "ready"
-        done.succeed()
+        if done.callbacks is None:
+            # Nobody is parked on the block: the event would fire with
+            # no callbacks to run.  Co-waiters still get a queued wake;
+            # resuming them in place reorders the run (DESIGN.md §12).
+            done.succeed_now()
+        else:
+            done.succeed()
         return None

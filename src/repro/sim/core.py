@@ -17,11 +17,13 @@ which the golden determinism battery
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Any, Iterable, Optional
 
 from ..obs import NULL_OBS, Observability
 from .errors import SchedulingError, SimulationError
-from .events import AllOf, AnyOf, Event, EventQueue, Timeout
+from .events import PENDING, AllOf, AnyOf, Event, EventQueue, Timeout
 from .process import Process
 
 
@@ -78,9 +80,24 @@ class Simulator:
         return AllOf(self, events)
 
     def spawn(self, generator, name: Optional[str] = None) -> Process:
-        """Start a new process from a generator; returns its Process."""
+        """Start a new process from a generator; returns its Process.
+
+        The first step runs at the current instant, after every entry
+        already queued for it.
+        """
         self.spawns += 1
         return Process(self, generator, name=name)
+
+    def start(self, generator, name: Optional[str] = None) -> Process:
+        """Like :meth:`spawn`, but the first step runs now, in the
+        caller's frame, and nothing is pushed.
+
+        Counts in ``spawns``.  An exception from the first step fails
+        the process, as with :meth:`spawn`; it does not reach the
+        caller.
+        """
+        self.spawns += 1
+        return Process(self, generator, name=name, inline=True)
 
     @property
     def events_scheduled(self) -> int:
@@ -96,13 +113,8 @@ class Simulator:
             raise SchedulingError(f"cannot schedule {event!r} in the past")
         self._push(self.now + delay, event)
 
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        when, event = self._queue.pop()
-        if when < self.now:
-            raise SimulationError("event queue went backwards in time")
-        self.now = when
-        event._process()
+    # Both loops below are the kernel's innermost loop, so they pop the
+    # heap directly: one C call per event.
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches ``until``.
@@ -113,13 +125,20 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
+        heap = self._queue._heap
+        pop = heapq.heappop
+        stop = math.inf if until is None else until
         try:
-            queue = self._queue
-            while len(queue):
-                if until is not None and queue.peek_time() > until:
+            while heap:
+                if heap[0][0] > stop:
                     self.now = until
                     break
-                self.step()
+                when, _seq, event = pop(heap)
+                if when < self.now:
+                    raise SimulationError(
+                        "event queue went backwards in time")
+                self.now = when
+                event._process()
         finally:
             self._running = False
         if until is not None and self.now < until:
@@ -133,15 +152,21 @@ class Simulator:
         ``limit`` guards against runaway simulations: exceeding it raises
         :class:`SimulationError`.
         """
-        queue = self._queue
-        while not process.finished:
-            if not len(queue):
+        heap = self._queue._heap
+        pop = heapq.heappop
+        stop = math.inf if limit is None else limit
+        while process.state == PENDING:
+            if not heap:
                 raise SimulationError(
                     f"deadlock: {process!r} cannot finish, queue empty")
-            if limit is not None and queue.peek_time() > limit:
+            if heap[0][0] > stop:
                 raise SimulationError(
                     f"simulation exceeded time limit {limit}")
-            self.step()
+            when, _seq, event = pop(heap)
+            if when < self.now:
+                raise SimulationError("event queue went backwards in time")
+            self.now = when
+            event._process()
         if process.error is not None:
             raise process.error
         return process.value

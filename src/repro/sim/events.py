@@ -8,11 +8,12 @@ resumes the waiter at once, synchronously inside the ``yield`` (or the
 :meth:`Event.add_callback` call) without a queue round-trip, so there
 is no lost-wakeup race.
 
-This module sits on the kernel's hottest path — a replay run processes
-hundreds of events per NFS operation — so the primitives are written
-flat: callback lists materialize only when a subscriber appears, event
-labels are computed lazily, and scheduling goes through the simulator's
-single ``_push`` entry point (see :mod:`repro.sim.core`).
+This module sits on the kernel's hottest path — a replayed NFS
+operation over TCP costs about 93 queue pushes — so the primitives are
+written flat: callback lists materialize only when a subscriber
+appears, event labels are computed lazily, and scheduling goes through
+the simulator's single ``_push`` entry point (see
+:mod:`repro.sim.core`).
 """
 
 from __future__ import annotations
@@ -72,12 +73,14 @@ class Event:
         """
         if self.state != PENDING:
             raise RuntimeError(f"{self!r} already triggered")
+        if delay < 0:
+            # Checked before any state moves: a rejected call leaves the
+            # event pending, so its waiters can still be woken.
+            from .errors import SchedulingError
+            raise SchedulingError(f"cannot schedule {self!r} in the past")
         self.state = TRIGGERED
         self.value = value
         sim = self.sim
-        if delay < 0:
-            from .errors import SchedulingError
-            raise SchedulingError(f"cannot schedule {self!r} in the past")
         sim._push(sim.now + delay, self)
         return self
 
@@ -111,13 +114,26 @@ class Event:
             raise TypeError(f"fail() needs an exception, got {error!r}")
         if self.state != PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        self.state = TRIGGERED
-        self.error = error
-        sim = self.sim
         if delay < 0:
             from .errors import SchedulingError
             raise SchedulingError(f"cannot schedule {self!r} in the past")
+        self.state = TRIGGERED
+        self.error = error
+        sim = self.sim
         sim._push(sim.now + delay, self)
+        return self
+
+    def succeed_now(self, value: Any = None) -> "Event":
+        """Fire at once: run the callbacks in the caller's frame.
+
+        No queue entry is pushed, so the waiters resume before anything
+        else scheduled at this instant.  For completions whose early
+        resume cannot reorder the run (DESIGN.md §12 lists each one).
+        """
+        if self.state != PENDING:
+            raise RuntimeError(f"{self!r} already triggered")
+        self.value = value
+        self._process()
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:

@@ -5,17 +5,22 @@ objects (or other :class:`Process` instances, which are themselves events
 — waiting on a process waits for its completion).  ``return value`` inside
 the generator sets the process's result.
 
-The resume/step trampoline here is the single hottest code path in the
+The resume trampoline here is the single hottest code path in the
 kernel — every event a process waits on funnels through it — so it is
-written flat: ``send``/``throw`` are bound once at spawn, the resume
-callback is pre-bound, the bootstrap is a direct queue record instead of
-a throwaway event, and the yielded event is subscribed to inline.  The
-flattening is pure mechanics: the sequence of queue pushes (and
-therefore the deterministic FIFO tie-break order) is exactly the one an
-unflattened trampoline produces, which the golden determinism battery
-pins.  One push is saved on purpose: a process that finishes with no
-subscriber is marked processed at once instead of queueing a completion
-event that would run no callbacks (DESIGN.md §12).
+written flat.  One ``_resume(event)`` frame per wake reads the event's
+``value``/``error`` and drives the generator; a yield of an event that
+is already processed continues in the same loop.  ``send``/``throw``
+are bound once at spawn, the resume callback is pre-bound, the
+bootstrap is a direct queue record instead of a throwaway event, and
+the yielded event is subscribed to inline.  None of this changes the
+sequence of queue pushes (and therefore the FIFO tie-break order),
+which the golden determinism battery pins.
+
+Two pushes are saved on purpose (DESIGN.md §12): a process that
+finishes with no subscriber is marked processed at once instead of
+queueing a completion event that would run no callbacks, and a process
+begun with :meth:`~repro.sim.core.Simulator.start` runs its first step
+in the caller's frame instead of through a bootstrap entry.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ class Process(Event):
     __slots__ = ("generator", "_waiting_on", "_send", "_throw",
                  "_resume_cb")
 
-    def __init__(self, sim, generator, name: Optional[str] = None):
+    def __init__(self, sim, generator, name: Optional[str] = None,
+                 inline: bool = False):
         if not hasattr(generator, "send"):
             raise ProcessError(
                 f"Process needs a generator, got {type(generator).__name__} "
@@ -55,10 +61,14 @@ class Process(Event):
         self._throw = generator.throw
         self._waiting_on: Optional[Event] = None
         self._resume_cb = self._resume
-        # Kick off on the next scheduler step at the current time: the
-        # bootstrap consumes one queue slot, exactly as the old
-        # bootstrap event did, so FIFO tie-break order is unchanged.
-        sim._push(sim.now, _Bootstrap(self))
+        bootstrap = _Bootstrap(self)
+        if inline:
+            # Simulator.start: the first step runs here, in the caller's
+            # frame, and the queue is not touched.
+            bootstrap._process()
+        else:
+            # Kick off on the next scheduler step at the current time.
+            sim._push(sim.now, bootstrap)
 
     # ------------------------------------------------------------------
 
@@ -79,79 +89,94 @@ class Process(Event):
                     callbacks.remove(self._resume_cb)
                 except ValueError:
                     pass
-        self._waiting_on = None
-        self._step(Interrupt(cause), throw=True)
+        self._resume(_Interrupted(Interrupt(cause)))
 
     # ------------------------------------------------------------------
 
-    def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        error = event.error
-        if error is not None:
-            # The awaited event failed: the exception surfaces at the
-            # process's yield point, where it may be caught.
-            self._step(error, throw=True)
-        else:
-            self._step(event.value)
+    def _resume(self, event) -> None:
+        """Advance the generator past the wait ``event`` ended.
 
-    def _step(self, value: Any, throw: bool = False) -> None:
-        try:
-            if throw:
-                yielded = self._throw(value)
-            else:
-                yielded = self._send(value)
-        except StopIteration as stop:
-            self.value = stop.value
-            if self.callbacks is None:
-                # Nobody waits: the completion event would fire with no
-                # callbacks to run, so the process is processed now.  A
-                # later ``yield proc`` or add_callback sees PROCESSED
-                # and resumes synchronously with the value.
-                self.state = PROCESSED
+        ``event`` is anything with ``value`` and ``error``: the awaited
+        event, the bootstrap record, or an interrupt record.  A yield of
+        an already-processed event continues in this loop instead of a
+        nested call, so one wake costs one frame however many ready
+        events the generator walks through.
+        """
+        send = self._send
+        while True:
+            self._waiting_on = None
+            try:
+                error = event.error
+                if error is None:
+                    yielded = send(event.value)
+                else:
+                    # The awaited event failed: the exception surfaces
+                    # at the process's yield point, where it may be
+                    # caught.
+                    yielded = self._throw(error)
+            except StopIteration as stop:
+                self.value = stop.value
+                if self.callbacks is None:
+                    # Nobody waits: the completion event would fire with
+                    # no callbacks to run, so the process is processed
+                    # now.  A later ``yield proc`` or add_callback sees
+                    # PROCESSED and resumes synchronously with the value.
+                    self.state = PROCESSED
+                    return
+                # Completion is a plain succeed(), flattened.
+                self.state = TRIGGERED
+                sim = self.sim
+                sim._push(sim.now, self)
                 return
-            # Completion is a plain succeed(), flattened.
-            self.state = TRIGGERED
-            sim = self.sim
-            sim._push(sim.now, self)
+            except Exception as exc:
+                # An uncaught interrupt or error terminates the process;
+                # run_until_complete() re-raises it.
+                self.error = exc
+                self.succeed(None)
+                return
+            if not isinstance(yielded, Event):
+                self.error = ProcessError(
+                    f"{self!r} yielded {yielded!r}; processes must yield "
+                    "Events")
+                self.succeed(None)
+                return
+            if yielded.state == PROCESSED:
+                event = yielded
+                continue
+            self._waiting_on = yielded
+            # Inlined yielded.add_callback(self._resume): one line per
+            # wait on the hottest path in the kernel.
+            if yielded.callbacks is None:
+                yielded.callbacks = [self._resume_cb]
+            else:
+                yielded.callbacks.append(self._resume_cb)
             return
-        except Interrupt as exc:
-            # An uncaught interrupt terminates the process with an error.
-            self.error = exc
-            self.succeed(None)
-            return
-        except Exception as exc:  # propagate at run_until_complete()
-            self.error = exc
-            self.succeed(None)
-            return
-        if not isinstance(yielded, Event):
-            self.error = ProcessError(
-                f"{self!r} yielded {yielded!r}; processes must yield Events")
-            self.succeed(None)
-            return
-        self._waiting_on = yielded
-        # Inlined yielded.add_callback(self._resume): one line per wait
-        # on the hottest path in the kernel.
-        state = yielded.state
-        if state == PROCESSED:
-            self._resume(yielded)
-        elif yielded.callbacks is None:
-            yielded.callbacks = [self._resume_cb]
-        else:
-            yielded.callbacks.append(self._resume_cb)
 
 
 class _Bootstrap:
     """Queue record payload that performs a process's first step.
 
-    Replaces the old per-spawn bootstrap :class:`Event` (allocation plus
-    callback list plus state machine) with the cheapest object exposing
-    ``_process`` the scheduler loop can fire.
+    The cheapest object the scheduler loop can fire: ``_process``
+    resumes the process with the record itself, whose ``value`` and
+    ``error`` are both ``None``.
     """
 
     __slots__ = ("process",)
+    value = None
+    error = None
 
     def __init__(self, process: Process):
         self.process = process
 
     def _process(self) -> None:
-        self.process._step(None)
+        self.process._resume(self)
+
+
+class _Interrupted:
+    """The wake :meth:`Process.interrupt` delivers: an error, no value."""
+
+    __slots__ = ("error",)
+    value = None
+
+    def __init__(self, error: Interrupt):
+        self.error = error

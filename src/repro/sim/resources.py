@@ -5,8 +5,8 @@
     channel).
 
 :class:`Store`
-    An unbounded FIFO of items with blocking ``get`` (e.g. the nfsiod
-    request queue).
+    An unbounded FIFO of items with blocking ``get`` (the TCP send
+    queue).
 
 :class:`RateLimiter`
     Serialises byte transfers through a fixed-bandwidth pipe (e.g. the
@@ -76,7 +76,9 @@ class Store:
     """An unbounded FIFO with blocking get.
 
     ``put`` never blocks; ``get`` returns an event whose value is the
-    item.  Waiters are served FIFO.
+    item.  Waiters are served FIFO.  A ``put`` to a parked getter hands
+    the item over in place: the getter resumes inside ``put``, with no
+    queue entry between (DESIGN.md §12).
     """
 
     def __init__(self, sim):
@@ -86,7 +88,7 @@ class Store:
 
     def put(self, item: Any) -> None:
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.popleft().succeed_now(item)
         else:
             self._items.append(item)
 

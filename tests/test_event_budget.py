@@ -13,6 +13,9 @@ Budget history, replay cell (events/op, spawns/op):
     303.4 / 47.9  -- one process per link delivery, TCP ACK and dispatch
     138.9 / 15.8  -- those became scheduled callbacks; uncontended
                      grants and unwatched completions stopped pushing
+     92.0 / 15.8  -- lazy TCP ACK credit, RPC handlers started in place,
+                     in-place reply/send-queue/block/cache-hit wakes
+                     (handlers still count as spawns)
 """
 
 import dataclasses
@@ -51,8 +54,8 @@ def stat_cell():
 
 #: cell -> (ops, events_scheduled, spawns)
 BUDGET = {
-    "replay": (replay_cell, 260, 36121, 4109),
-    "stat": (stat_cell, 200, 1820, 305),
+    "replay": (replay_cell, 260, 23920, 4109),
+    "stat": (stat_cell, 200, 1214, 305),
 }
 
 

@@ -14,10 +14,12 @@ import pytest
 
 from repro.faults.network import DELIVER, DROP_CORRUPT, DROP_LOSS
 from repro.host.machine import Machine
-from repro.net import GIGABIT, Link, TcpConnection, UdpEndpoint
+from repro.net import (GIGABIT, Link, RpcClient, RpcTimeout, TcpConnection,
+                       UdpEndpoint)
 from repro.net.frames import plan_tcp_stream, plan_udp_datagram
 from repro.net.link import SERVER_PCI_DMA
-from repro.sim import RateLimiter, Simulator, Store
+from repro.net.rpc import RpcMessage
+from repro.sim import RateLimiter, Simulator, Store, Timeout
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,8 @@ class TestUdpWireOccupancy:
 
 
 # ---------------------------------------------------------------------------
-# TCP: the ACK is a timeout callback, the send queue a non-blocking take.
+# TCP: the ACK is a record credited on demand, the send queue a
+# non-blocking take.
 
 
 class TestTcpWindowRelease:
@@ -176,7 +179,16 @@ class TestTcpWindowRelease:
                   + wire / rate + latency)
         assert arrivals == [pytest.approx(first, abs=1e-12),
                             pytest.approx(second, abs=1e-12)]
-        assert conn._window_free == wire       # every ACK came back
+        # A drained run ends at the last delivery: no event for its ACK.
+        assert sim.now == arrivals[-1]
+        # Every ACK came back: a send issued once the second ACK has
+        # landed goes out with no window wait.
+        later = arrivals[-1] + TcpConnection.ACK_LATENCY
+        sim.run(until=later)
+        conn.send("c", payload)
+        sim.run()
+        third = later + TcpConnection.SEND_OVERHEAD + wire / rate + latency
+        assert arrivals[2:] == [pytest.approx(third, abs=1e-12)]
 
     def test_ack_needs_no_process(self):
         sim = Simulator()
@@ -279,3 +291,151 @@ class TestUncontendedGrant:
         sim.run()
         assert finished == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]
         assert machine.cpu.in_use == 0 and machine.cpu.queued == 0
+
+
+# ---------------------------------------------------------------------------
+# Round two: pushes that decided no order are gone.
+
+
+def recording_pushes(sim):
+    """Wrap ``sim._push`` and return the list of events it is handed."""
+    pushed = []
+    push = sim._push
+
+    def recorded(when, event):
+        pushed.append(event)
+        push(when, event)
+    sim._push = recorded
+    return pushed
+
+
+class _Loopback:
+    """A transport that records sends and can answer them later."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.sent = []
+        self.receiver = None
+
+    def send(self, message, payload_bytes):
+        self.sent.append((self.sim.now, message))
+
+    def bind(self, receiver):
+        self.receiver = receiver
+
+    def answer(self, message, body):
+        self.receiver(RpcMessage(message.xid, body, 10, is_reply=True))
+
+
+class TestLazyTcpAck:
+    def test_unblocked_message_pushes_its_overhead_and_delivery_only(self):
+        sim = Simulator()
+        link = Link(sim, GIGABIT)
+        conn = TcpConnection(sim, link)
+        conn.bind(lambda message: None)
+        sim.run()                      # the sender parks on its queue
+        pushed = recording_pushes(sim)
+        conn.send("m", 512)
+        # The queue hand-off and the ACK push nothing: the send-overhead
+        # timeout and the delivery are the only entries.
+        sim.run()
+        assert len(pushed) == 2
+        assert isinstance(pushed[0], Timeout)
+        assert pushed[0].delay == TcpConnection.SEND_OVERHEAD
+        assert pushed[1].name == f"{link.name}.delivery"
+        assert conn.messages_sent == 1
+
+
+class TestRpcTimerCallback:
+    def test_answered_call_spawns_nothing_and_the_stale_fire_is_a_no_op(
+            self):
+        sim = Simulator()
+        wire = _Loopback(sim)
+        client = RpcClient(sim, wire, wire, retransmit_timeout=0.5)
+        reply = client.call("ping", 10)
+        assert sim.spawns == 0
+        sim.timeout(0.1).add_callback(
+            lambda _ev: wire.answer(wire.sent[0][1], "pong"))
+        sim.run()
+        assert reply.processed and reply.value == "pong"
+        assert sim.now == 0.5                  # the timer still fired ...
+        assert len(wire.sent) == 1             # ... and sent nothing
+        assert (client.retransmitted, client.timeouts) == (0, 0)
+        assert client.pending_calls == 0 and sim.spawns == 0
+
+    def test_soft_mount_times_out_at_the_backoff_instants(self):
+        sim = Simulator()
+        wire = _Loopback(sim)
+        client = RpcClient(sim, wire, wire, retransmit_timeout=0.1,
+                           max_retransmits=3)
+        errors = []
+
+        def caller():
+            try:
+                yield client.call("ping", 10)
+            except RpcTimeout as exc:
+                errors.append((sim.now, exc))
+
+        sim.run_until_complete(sim.spawn(caller()))
+        # The same float chain the timers follow: each fire adds the
+        # next backoff to the instant of the last.
+        instants = [0.0]
+        for attempt in range(client.max_retransmits + 1):
+            instants.append(instants[-1] + client.backoff_schedule(attempt))
+        assert [when for when, _ in wire.sent] == instants[:-1]
+        [(failed_at, exc)] = errors
+        assert failed_at == instants[-1]
+        assert exc.attempts == client.max_retransmits + 1
+        assert client.retransmitted == client.max_retransmits
+        assert client.timeouts == 1 and client.pending_calls == 0
+
+
+class TestInPlaceStart:
+    def test_start_pushes_nothing_and_runs_the_first_step_inline(self):
+        sim = Simulator()
+        gate = sim.event("gate")
+        steps = []
+
+        def proc():
+            steps.append(("first", sim.now))
+            value = yield gate
+            steps.append(("second", value))
+
+        process = sim.start(proc())
+        assert steps == [("first", 0.0)]
+        assert sim.events_scheduled == 0 and sim.spawns == 1
+        gate.succeed("go")
+        sim.run()
+        assert steps == [("first", 0.0), ("second", "go")]
+        assert process.processed
+
+    @pytest.mark.parametrize("begin", ["spawn", "start"])
+    def test_first_step_error_fails_the_process_like_spawn(self, begin):
+        sim = Simulator()
+
+        def broken():
+            raise ValueError("first step")
+            yield  # pragma: no cover - makes this a generator
+
+        process = getattr(sim, begin)(broken())   # does not raise here
+        with pytest.raises(ValueError, match="first step"):
+            sim.run_until_complete(process)
+        assert isinstance(process.error, ValueError)
+
+
+class TestInPlaceReply:
+    def test_reply_wakes_the_caller_without_a_push(self):
+        sim = Simulator()
+        wire = _Loopback(sim)
+        client = RpcClient(sim, wire, wire)
+        got = []
+
+        def caller():
+            got.append((yield client.call("ping", 10)))
+
+        sim.spawn(caller())
+        sim.run()                              # parked on the reply
+        before = sim.events_scheduled
+        wire.answer(wire.sent[0][1], "pong")
+        assert got == ["pong"]                 # resumed inside delivery
+        assert sim.events_scheduled == before

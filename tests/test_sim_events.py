@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim import (AllOf, AnyOf, Event, SchedulingError, Simulator,
+                       Timeout)
 from repro.sim.events import EventQueue
 
 
@@ -97,6 +98,23 @@ class TestEventFail:
         event = sim.event().succeed()
         with pytest.raises(RuntimeError):
             event.fail(ValueError("late"))
+
+    @pytest.mark.parametrize("fire", [
+        lambda event: event.succeed("early", delay=-1.0),
+        lambda event: event.fail(ValueError("early"), delay=-1.0),
+    ], ids=["succeed", "fail"])
+    def test_rejected_negative_delay_leaves_the_event_pending(self, fire):
+        sim = Simulator()
+        event = sim.event("e")
+        seen = []
+        event.add_callback(lambda ev: seen.append((ev.value, ev.error)))
+        with pytest.raises(SchedulingError):
+            fire(event)
+        assert not event.triggered
+        assert event.value is None and event.error is None
+        event.succeed("late", delay=1.0)      # still usable, not poisoned
+        sim.run()
+        assert seen == [("late", None)] and sim.now == 1.0
 
     def test_plain_callbacks_see_the_error(self):
         sim = Simulator()

@@ -120,3 +120,47 @@ def test_run_until_time_limit():
     sim.spawn(ticker(sim))
     sim.run(until=5.5)
     assert sim.now == 5.5
+
+
+def test_run_until_complete_time_limit():
+    sim = Simulator()
+
+    def slow(sim):
+        yield sim.timeout(10.0)
+
+    process = sim.spawn(slow(sim))
+    with pytest.raises(SimulationError, match="time limit"):
+        sim.run_until_complete(process, limit=5.0)
+    assert not process.finished
+
+
+@pytest.mark.parametrize("loop", ["run", "run_until_complete"])
+def test_queue_going_backwards_is_detected(loop):
+    sim = Simulator()
+    sim.run(until=2.0)
+    sim._push(1.0, sim.event("stale"))       # bypasses the delay check
+
+    def waiter(sim):
+        yield sim.timeout(1.0)
+
+    process = sim.spawn(waiter(sim))
+    with pytest.raises(SimulationError, match="backwards"):
+        if loop == "run":
+            sim.run()
+        else:
+            sim.run_until_complete(process)
+
+
+def test_run_is_not_reentrant():
+    sim = Simulator()
+    errors = []
+
+    def nested(_event):
+        try:
+            sim.run()
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.timeout(1.0).add_callback(nested)
+    sim.run()
+    assert len(errors) == 1 and "reentrant" in str(errors[0])
